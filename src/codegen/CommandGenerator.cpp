@@ -7,6 +7,7 @@
 #include "codegen/CommandGenerator.h"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "obs/Counters.h"
 #include "support/Format.h"
@@ -78,10 +79,16 @@ void recordPlanCounters(const PimKernelPlan &Plan) {
         }
       }
     }
-    obs::addCounter(formatStr("pim.gwrite_bursts.ch%zu", C), GwriteBursts);
-    obs::addCounter(formatStr("pim.g_acts.ch%zu", C), GActs);
-    obs::addCounter(formatStr("pim.comp_columns.ch%zu", C), CompColumns);
-    obs::addCounter(formatStr("pim.read_res.ch%zu", C), ReadRes);
+    // Names are built in a stack buffer: no allocation per counter.
+    char Name[48];
+    auto Add = [&](const char *Family, int64_t N) {
+      std::snprintf(Name, sizeof(Name), "pim.%s.ch%zu", Family, C);
+      obs::addCounter(Name, N);
+    };
+    Add("gwrite_bursts", GwriteBursts);
+    Add("g_acts", GActs);
+    Add("comp_columns", CompColumns);
+    Add("read_res", ReadRes);
   }
 }
 
@@ -200,6 +207,7 @@ PimKernelPlan PimCommandGenerator::plan(const PimKernelSpec &Spec) const {
 
   PimKernelPlan Best;
   bool HaveBest = false;
+  int64_t MappingsTried = 0;
 
   const int64_t B =
       std::min<int64_t>(Config.NumGlobalBuffers, Spec.NumVectors);
@@ -225,7 +233,7 @@ PimKernelPlan PimCommandGenerator::plan(const PimKernelSpec &Spec) const {
         Plan.Granularity = Ck > 1   ? ScheduleGranularity::Comp
                            : Cv > 1 ? ScheduleGranularity::ReadRes
                                     : ScheduleGranularity::GAct;
-        obs::addCounter("codegen.mappings_tried");
+        ++MappingsTried;
         if (!HaveBest || Plan.Ns < Best.Ns) {
           Best = std::move(Plan);
           HaveBest = true;
@@ -234,6 +242,7 @@ PimKernelPlan PimCommandGenerator::plan(const PimKernelSpec &Spec) const {
     }
   }
   PF_ASSERT(HaveBest, "no feasible PIM mapping found");
+  obs::addCounter("codegen.mappings_tried", MappingsTried);
   obs::addCounter("codegen.plans");
   if (obs::activeRegistry().enabled())
     recordPlanCounters(Best);

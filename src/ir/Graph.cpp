@@ -6,6 +6,7 @@
 
 #include "ir/Graph.h"
 
+#include <algorithm>
 #include <deque>
 
 #include "support/Format.h"
@@ -170,6 +171,30 @@ std::vector<NodeId> Graph::consumers(ValueId Id) const {
       }
   }
   return Out;
+}
+
+ConsumerIndex::ConsumerIndex(const Graph &G) : Begin(G.numValues() + 1, 0) {
+  // Each live node uses each distinct input value once, like consumers().
+  auto ForEachUse = [&G](auto &&Fn) {
+    for (const Node &N : G.nodes()) {
+      if (N.Dead)
+        continue;
+      for (auto It = N.Inputs.begin(); It != N.Inputs.end(); ++It)
+        if (std::find(N.Inputs.begin(), It, *It) == It)
+          Fn(static_cast<size_t>(*It), N.Id);
+    }
+  };
+  // Counting sort into one flat array: count uses per value, turn the
+  // counts into start offsets, fill (advancing each start to its end), then
+  // shift the ends back into starts.
+  ForEachUse([this](size_t V, NodeId) { ++Begin[V + 1]; });
+  for (size_t V = 1; V < Begin.size(); ++V)
+    Begin[V] += Begin[V - 1];
+  Ids.resize(Begin.back());
+  ForEachUse([this](size_t V, NodeId Id) { Ids[Begin[V]++] = Id; });
+  for (size_t V = Begin.size() - 1; V > 0; --V)
+    Begin[V] = Begin[V - 1];
+  Begin[0] = 0;
 }
 
 std::vector<NodeId> Graph::topoOrder() const {

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -184,6 +185,26 @@ private:
   /// Producer node of each value (InvalidNode if none).
   std::vector<NodeId> ProducerOf;
   std::unordered_map<ValueId, Tensor> ExplicitParamData;
+};
+
+/// Value -> consumer lists of a graph, built in one pass over its nodes.
+/// consumers(V) lists exactly what Graph::consumers(V) returns (live nodes,
+/// each once per value, in ascending node id) without that call's scan of
+/// every node, so whole-graph walks stay linear in the edge count. A
+/// snapshot: build a new index after the graph changes.
+class ConsumerIndex {
+public:
+  explicit ConsumerIndex(const Graph &G);
+
+  std::span<const NodeId> consumers(ValueId Id) const {
+    const size_t V = static_cast<size_t>(Id);
+    return {Ids.data() + Begin[V], Begin[V + 1] - Begin[V]};
+  }
+
+private:
+  /// Consumers of value V are Ids[Begin[V], Begin[V + 1]).
+  std::vector<size_t> Begin;
+  std::vector<NodeId> Ids;
 };
 
 } // namespace pf

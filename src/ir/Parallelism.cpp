@@ -7,7 +7,6 @@
 #include "ir/Parallelism.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 using namespace pf;
@@ -20,28 +19,33 @@ ParallelismStats pf::analyzeParallelism(const Graph &G) {
   if (N == 0)
     return Stats;
 
-  std::unordered_map<NodeId, size_t> Index;
+  // Topological position of every node id.
+  std::vector<size_t> Index(G.numNodesIncludingDead());
   for (size_t I = 0; I < N; ++I)
-    Index[Order[I]] = I;
+    Index[static_cast<size_t>(Order[I])] = I;
+  const ConsumerIndex Consumers(G);
 
-  // Reach[i] = bitset of nodes reachable from i (descendants, including i).
+  // Row i of Reach = bitset of nodes reachable from i (descendants,
+  // including i). All rows share one flat N x Words allocation; a vector of
+  // row vectors trips a false -Walloc-size-larger-than under GCC 12 -O3,
+  // which -Werror turns into a broken Release build.
   const size_t Words = (N + 63) / 64;
-  std::vector<std::vector<uint64_t>> Reach(
-      N, std::vector<uint64_t>(Words, 0));
-  auto SetBit = [&](std::vector<uint64_t> &Bits, size_t J) {
+  std::vector<uint64_t> Reach(N * Words, 0);
+  auto Row = [&](size_t I) { return Reach.data() + I * Words; };
+  auto SetBit = [](uint64_t *Bits, size_t J) {
     Bits[J / 64] |= uint64_t(1) << (J % 64);
   };
 
   std::vector<int> Depth(N, 1);
   // Walk in reverse topological order so consumers' sets are final.
   for (size_t I = N; I-- > 0;) {
-    SetBit(Reach[I], I);
+    SetBit(Row(I), I);
     const Node &Nd = G.node(Order[I]);
     for (ValueId Out : Nd.Outputs) {
-      for (NodeId Consumer : G.consumers(Out)) {
-        const size_t J = Index.at(Consumer);
+      for (NodeId Consumer : Consumers.consumers(Out)) {
+        const uint64_t *From = Row(Index[static_cast<size_t>(Consumer)]);
         for (size_t W = 0; W < Words; ++W)
-          Reach[I][W] |= Reach[J][W];
+          Row(I)[W] |= From[W];
       }
     }
   }
@@ -52,7 +56,8 @@ ParallelismStats pf::analyzeParallelism(const Graph &G) {
       const NodeId Producer = G.producer(In);
       if (Producer == InvalidNode)
         continue;
-      Depth[I] = std::max(Depth[I], Depth[Index.at(Producer)] + 1);
+      Depth[I] = std::max(Depth[I],
+                          Depth[Index[static_cast<size_t>(Producer)]] + 1);
     }
     Stats.CriticalPathLength = std::max(Stats.CriticalPathLength, Depth[I]);
   }
@@ -60,11 +65,12 @@ ParallelismStats pf::analyzeParallelism(const Graph &G) {
   // Two nodes are independent iff neither reaches the other. For node i,
   // the nodes ordered with i are Reach[i] (descendants) plus all ancestors
   // (j such that i is in Reach[j]).
+  std::vector<uint64_t> Ordered(Words);
   for (size_t I = 0; I < N; ++I) {
-    std::vector<uint64_t> Ordered = Reach[I];
+    std::copy(Row(I), Row(I) + Words, Ordered.begin());
     for (size_t J = 0; J < N; ++J)
-      if ((Reach[J][I / 64] >> (I % 64)) & 1)
-        SetBit(Ordered, J);
+      if ((Row(J)[I / 64] >> (I % 64)) & 1)
+        SetBit(Ordered.data(), J);
     size_t OrderedCount = 0;
     for (uint64_t W : Ordered)
       OrderedCount += static_cast<size_t>(__builtin_popcountll(W));

@@ -194,6 +194,7 @@ AttributionReport pf::obs::attributeTimeline(const Graph &G,
   }
 
   std::vector<NodeId> Topo = G.tryTopoOrder();
+  const ConsumerIndex Consumers(G);
   for (auto It = Topo.rbegin(); It != Topo.rend(); ++It) {
     auto SIt = Sched.find(*It);
     if (SIt == Sched.end())
@@ -201,7 +202,7 @@ AttributionReport pf::obs::attributeTimeline(const Graph &G,
     const NodeSchedule &S = *SIt->second;
     double &LE = LatestEnd[S.Id];
     for (ValueId Out : G.node(S.Id).Outputs) {
-      for (NodeId C : G.consumers(Out)) {
+      for (NodeId C : Consumers.consumers(Out)) {
         auto CIt = Sched.find(C);
         if (CIt == Sched.end())
           continue;

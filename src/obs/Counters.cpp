@@ -19,19 +19,21 @@ Registry &Registry::instance() {
   return R;
 }
 
-Counter &Registry::counter(const std::string &Name) {
+Counter &Registry::counter(std::string_view Name) {
   std::lock_guard<std::mutex> Lock(Mu);
   auto It = Counters.find(Name);
   if (It == Counters.end())
-    It = Counters.emplace(Name, std::make_unique<Counter>()).first;
+    It = Counters.emplace(std::string(Name), std::make_unique<Counter>())
+             .first;
   return *It->second;
 }
 
-Histogram &Registry::histogram(const std::string &Name) {
+Histogram &Registry::histogram(std::string_view Name) {
   std::lock_guard<std::mutex> Lock(Mu);
   auto It = Histograms.find(Name);
   if (It == Histograms.end())
-    It = Histograms.emplace(Name, std::make_unique<Histogram>()).first;
+    It = Histograms.emplace(std::string(Name), std::make_unique<Histogram>())
+             .first;
   return *It->second;
 }
 

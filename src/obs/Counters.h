@@ -27,6 +27,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pf::obs {
@@ -99,9 +100,9 @@ public:
   }
 
   /// Finds or creates the counter named \p Name.
-  Counter &counter(const std::string &Name);
+  Counter &counter(std::string_view Name);
   /// Finds or creates the histogram named \p Name.
-  Histogram &histogram(const std::string &Name);
+  Histogram &histogram(std::string_view Name);
 
   /// All counters with a non-zero value, sorted by name.
   std::vector<std::pair<std::string, int64_t>> counterSnapshot() const;
@@ -115,8 +116,9 @@ public:
 private:
   std::atomic<bool> Enabled{false};
   mutable std::mutex Mu;
-  std::map<std::string, std::unique_ptr<Counter>> Counters;
-  std::map<std::string, std::unique_ptr<Histogram>> Histograms;
+  // Transparent comparators: a lookup by name allocates no std::string.
+  std::map<std::string, std::unique_ptr<Counter>, std::less<>> Counters;
+  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> Histograms;
 };
 
 /// The registry obs helpers route to on this thread: the installed
@@ -125,14 +127,9 @@ private:
 Registry &activeRegistry();
 
 /// Bumps counter \p Name by \p N when the active registry is enabled. The
-/// name is only materialized after the enabled check, so disabled call
-/// sites cost one thread-local read plus one atomic load.
-inline void addCounter(const char *Name, int64_t N = 1) {
-  Registry &R = activeRegistry();
-  if (R.enabled())
-    R.counter(Name).add(N);
-}
-inline void addCounter(const std::string &Name, int64_t N = 1) {
+/// name is a view, looked up without building a std::string, so disabled
+/// call sites cost one thread-local read plus one atomic load.
+inline void addCounter(std::string_view Name, int64_t N = 1) {
   Registry &R = activeRegistry();
   if (R.enabled())
     R.counter(Name).add(N);

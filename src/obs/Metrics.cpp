@@ -48,8 +48,8 @@ double bucketMid(int32_t Key) {
 
 } // namespace
 
-void LogLinearHistogram::record(double X) {
-  if (!std::isfinite(X))
+void LogLinearHistogram::record(double X, int64_t Times) {
+  if (!std::isfinite(X) || Times <= 0)
     return;
   std::lock_guard<std::mutex> Lock(Mu);
   if (Count == 0) {
@@ -58,12 +58,14 @@ void LogLinearHistogram::record(double X) {
     Min = X < Min ? X : Min;
     Max = X > Max ? X : Max;
   }
-  ++Count;
-  Sum += X;
+  Count += Times;
+  // One addition per sample: Times * X could round differently.
+  for (int64_t I = 0; I < Times; ++I)
+    Sum += X;
   if (X <= 0.0)
-    ++ZeroCount;
+    ZeroCount += Times;
   else
-    ++Buckets[bucketKey(X)];
+    Buckets[bucketKey(X)] += Times;
 }
 
 double LogLinearHistogram::quantileLocked(double Q) const {
@@ -176,29 +178,32 @@ MetricsRegistry &MetricsRegistry::instance() {
   return M;
 }
 
-LogLinearHistogram &MetricsRegistry::histogram(const std::string &Name) {
+LogLinearHistogram &MetricsRegistry::histogram(std::string_view Name) {
   std::lock_guard<std::mutex> Lock(Mu);
   auto It = Histograms.find(Name);
   if (It == Histograms.end())
-    It = Histograms.emplace(Name, std::make_unique<LogLinearHistogram>())
+    It = Histograms
+             .emplace(std::string(Name), std::make_unique<LogLinearHistogram>())
              .first;
   return *It->second;
 }
 
-Gauge &MetricsRegistry::gauge(const std::string &Name) {
+Gauge &MetricsRegistry::gauge(std::string_view Name) {
   std::lock_guard<std::mutex> Lock(Mu);
   auto It = Gauges.find(Name);
   if (It == Gauges.end())
-    It = Gauges.emplace(Name, std::make_unique<Gauge>()).first;
+    It = Gauges.emplace(std::string(Name), std::make_unique<Gauge>()).first;
   return *It->second;
 }
 
-SlidingWindow &MetricsRegistry::window(const std::string &Name, TickDomain D,
+SlidingWindow &MetricsRegistry::window(std::string_view Name, TickDomain D,
                                        int64_t BucketWidth) {
   std::lock_guard<std::mutex> Lock(Mu);
   auto It = Windows.find(Name);
   if (It == Windows.end())
-    It = Windows.emplace(Name, std::make_unique<SlidingWindow>(D, BucketWidth))
+    It = Windows
+             .emplace(std::string(Name),
+                      std::make_unique<SlidingWindow>(D, BucketWidth))
              .first;
   return *It->second;
 }

@@ -38,6 +38,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pf::obs {
@@ -80,7 +81,9 @@ public:
   /// quantile error at 1/64 ≈ 1.6%.
   static constexpr int SubBucketsPerOctave = 32;
 
-  void record(double X);
+  /// Records \p X \p Times times; the state afterwards is bit-identical
+  /// to \p Times separate record(X) calls.
+  void record(double X, int64_t Times = 1);
   /// Quantile \p Q in [0, 1] under the rank rule `ceil(Q * Count)`;
   /// relative error vs. the true sample at that rank is at most
   /// relErrorBound(). Returns 0 when empty.
@@ -165,9 +168,9 @@ public:
 
   /// Finds or creates the histogram / gauge / window named \p Name. A
   /// window's domain and width are fixed by its first registration.
-  LogLinearHistogram &histogram(const std::string &Name);
-  Gauge &gauge(const std::string &Name);
-  SlidingWindow &window(const std::string &Name, TickDomain D,
+  LogLinearHistogram &histogram(std::string_view Name);
+  Gauge &gauge(std::string_view Name);
+  SlidingWindow &window(std::string_view Name, TickDomain D,
                         int64_t BucketWidth);
 
   /// The simulated-cycle logical clock (TickDomain::SimCycles). Advanced
@@ -194,9 +197,11 @@ private:
   std::atomic<bool> Enabled{false};
   std::atomic<int64_t> CycleClock{0};
   mutable std::mutex Mu;
-  std::map<std::string, std::unique_ptr<LogLinearHistogram>> Histograms;
-  std::map<std::string, std::unique_ptr<Gauge>> Gauges;
-  std::map<std::string, std::unique_ptr<SlidingWindow>> Windows;
+  // Transparent comparators: a lookup by name allocates no std::string.
+  std::map<std::string, std::unique_ptr<LogLinearHistogram>, std::less<>>
+      Histograms;
+  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> Gauges;
+  std::map<std::string, std::unique_ptr<SlidingWindow>, std::less<>> Windows;
 };
 
 /// The metrics registry obs helpers route to on this thread: the

@@ -20,19 +20,43 @@ namespace {
 /// simulated cycles (the registry's SimCycles clock).
 constexpr int64_t ChannelCycleBucket = 1'000'000;
 
-/// Streams one channel's completion into the telemetry registry: the
-/// `pim.channel_cycles` quantile histogram plus its simulated-cycle
-/// window, keyed by the logical cycle clock the simulator advances.
-void recordChannelCycles(int64_t Cycles) {
+/// Streams channel completions into the telemetry registry: the
+/// `pim.channel_cycles` quantile histogram plus its simulated-cycle window,
+/// keyed by the logical cycle clock the simulator advances. The registry
+/// entries are looked up once, on the first sample, and a run of equal
+/// consecutive samples (the identical channels of one mapping) enters the
+/// histogram in one call. Call flush() after the last sample.
+class ChannelCyclesRecorder {
+public:
+  void record(int64_t Cycles) {
+    if (!M.enabled())
+      return;
+    if (!Hist) {
+      Hist = &M.histogram("pim.channel_cycles");
+      Window = &M.window("pim.channel_cycles", pf::obs::TickDomain::SimCycles,
+                         ChannelCycleBucket);
+    }
+    M.advanceCycles(Cycles);
+    Window->record(M.cycles(), static_cast<double>(Cycles));
+    if (Pending > 0 && Cycles != PendingCycles)
+      flush();
+    PendingCycles = Cycles;
+    ++Pending;
+  }
+
+  void flush() {
+    if (Pending > 0)
+      Hist->record(static_cast<double>(PendingCycles), Pending);
+    Pending = 0;
+  }
+
+private:
   pf::obs::MetricsRegistry &M = pf::obs::activeMetrics();
-  if (!M.enabled())
-    return;
-  M.advanceCycles(Cycles);
-  pf::obs::recordMetricWindowed("pim.channel_cycles",
-                                pf::obs::TickDomain::SimCycles,
-                                ChannelCycleBucket, M.cycles(),
-                                static_cast<double>(Cycles));
-}
+  pf::obs::LogLinearHistogram *Hist = nullptr;
+  pf::obs::SlidingWindow *Window = nullptr;
+  int64_t PendingCycles = 0;
+  int64_t Pending = 0; ///< Samples of PendingCycles not yet recorded.
+};
 
 } // namespace
 
@@ -322,22 +346,50 @@ int64_t PimSimulator::simulateChannel(const ChannelTrace &Trace) const {
 }
 
 PimRunStats PimSimulator::run(const DeviceTrace &Trace) const {
+  // A mapping gives every used channel the same command stream, so each
+  // distinct trace is simulated once and its cycles, command counts and
+  // phase cycles are reused for the identical channels after it. Every
+  // channel still streams its completion into the telemetry registry, so
+  // pim.channel_cycles sees one sample per modelled channel.
+  struct DistinctTrace {
+    const ChannelTrace *Trace;
+    int64_t Cycles;
+    PimRunStats Commands; ///< Only the command counts are set.
+    ChannelPhaseCycles Phases;
+  };
+  std::vector<DistinctTrace> Distinct;
+  ChannelCyclesRecorder Recorder;
   PimRunStats Stats;
   for (size_t ChIdx = 0; ChIdx < Trace.Channels.size(); ++ChIdx) {
     const ChannelTrace &Channel = Trace.Channels[ChIdx];
     if (Channel.empty())
       continue;
-    const int64_t Cycles = simulateChannel(Channel);
-    recordChannelCycles(Cycles);
+    auto It = std::find_if(
+        Distinct.begin(), Distinct.end(),
+        [&Channel](const DistinctTrace &D) { return *D.Trace == Channel; });
+    if (It == Distinct.end()) {
+      DistinctTrace D{&Channel, simulateChannel(Channel), {},
+                      phaseCyclesOf(Config, Channel)};
+      accumulateCommands(Channel, D.Commands);
+      D.Phases.CompletionCycles = D.Cycles;
+      It = Distinct.insert(Distinct.end(), D);
+    }
+    const int64_t Cycles = It->Cycles;
+    Recorder.record(Cycles);
     Stats.Cycles = std::max(Stats.Cycles, Cycles);
     Stats.BusyCycleSum += Cycles;
     ++Stats.ActiveChannels;
-    accumulateCommands(Channel, Stats);
-    ChannelPhaseCycles Phases = phaseCyclesOf(Config, Channel);
-    Phases.Channel = static_cast<int>(ChIdx);
-    Phases.CompletionCycles = Cycles;
-    Stats.ChannelPhases.push_back(Phases);
+    const PimRunStats &C = It->Commands;
+    Stats.GwriteCmds += C.GwriteCmds;
+    Stats.GwriteBursts += C.GwriteBursts;
+    Stats.GActs += C.GActs;
+    Stats.CompCmds += C.CompCmds;
+    Stats.CompColumns += C.CompColumns;
+    Stats.ReadResCmds += C.ReadResCmds;
+    Stats.ChannelPhases.push_back(It->Phases);
+    Stats.ChannelPhases.back().Channel = static_cast<int>(ChIdx);
   }
+  Recorder.flush();
   Stats.Ns = Config.cyclesToNs(Stats.Cycles);
   // The GWRITE fetch traffic of all channels is supplied by the GPU channel
   // group through the memory network; its aggregate bandwidth lower-bounds
@@ -362,6 +414,7 @@ FaultyRunStats PimSimulator::runWithFaults(const DeviceTrace &Trace,
                                            const RetryPolicy &Retry) const {
   FaultyRunStats R;
   PimRunStats &Stats = R.Stats;
+  ChannelCyclesRecorder Recorder;
   for (size_t ChIdx = 0; ChIdx < Trace.Channels.size(); ++ChIdx) {
     const ChannelTrace &Channel = Trace.Channels[ChIdx];
     if (Channel.empty())
@@ -448,7 +501,7 @@ FaultyRunStats PimSimulator::runWithFaults(const DeviceTrace &Trace,
     }
     O.Cycles = Cycles;
     R.TotalRetries += O.Retries;
-    recordChannelCycles(Cycles);
+    Recorder.record(Cycles);
     obs::flightEvent(obs::FlightEventKind::PhaseTransition, Cycles, Ch, -1,
                      static_cast<double>(Cycles),
                      channelHealthName(O.Health));
@@ -459,6 +512,7 @@ FaultyRunStats PimSimulator::runWithFaults(const DeviceTrace &Trace,
     Stats.ChannelPhases.push_back(Phases);
     R.Outcomes.push_back(O);
   }
+  Recorder.flush();
   Stats.Ns = Config.cyclesToNs(Stats.Cycles);
   // Same fetch-supply floor as the fault-free path: retries do not add
   // GWRITE traffic, so the floor is unchanged.

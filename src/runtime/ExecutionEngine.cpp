@@ -7,7 +7,6 @@
 #include "runtime/ExecutionEngine.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "codegen/PimKernelSpec.h"
 #include "obs/Counters.h"
@@ -61,63 +60,55 @@ bool isFusableEpilogue(OpKind Kind) {
   }
 }
 
-/// Per-execution cache of PIM kernel plans.
-struct PimPlanCache {
-  std::unordered_map<NodeId, PimKernelPlan> Plans;
-
-  const PimKernelPlan &planFor(const Graph &G, NodeId Id,
-                               const PimCommandGenerator &Gen) {
-    auto It = Plans.find(Id);
-    if (It != Plans.end())
-      return It->second;
-    const PimKernelSpec Spec = lowerToPimSpec(G, Id);
-    return Plans.emplace(Id, Gen.plan(Spec)).first->second;
-  }
+/// GPU latency and energy of one node in isolation (no transfers).
+struct GpuCost {
+  double Ns = 0.0;
+  double EnergyJ = 0.0;
 };
+
+GpuCost gpuCostOf(const Graph &G, NodeId Id, const SystemConfig &Config,
+                  const GpuModel &Gpu, const MemoryOptimizer &MemOpt) {
+  switch (MemOpt.classify(G, Id)) {
+  case DataMovementCost::Free:
+    return {};
+  case DataMovementCost::Copy: {
+    // A copy is a pure-bandwidth kernel.
+    const double Bytes = static_cast<double>(MemOpt.copyBytes(G, Id));
+    GpuKernelTime T;
+    T.Ns = Bytes / Config.Gpu.memBandwidth() * 1e9 +
+           Config.Gpu.LightKernelLaunchNs;
+    T.Utilization = 0.3;
+    return {T.Ns, Gpu.kernelEnergyJ(T)};
+  }
+  case DataMovementCost::NotDataMovement:
+    break;
+  }
+  const GpuKernelTime T = Gpu.nodeTime(G, Id);
+  return {T.Ns, Gpu.kernelEnergyJ(T)};
+}
 
 } // namespace
 
 double ExecutionEngine::nodeLatencyNs(const Graph &G, NodeId Id,
                                       Device Dev) const {
-  const Node &N = G.node(Id);
   if (Dev == Device::Pim) {
     PF_ASSERT(Config.hasPim(), "PIM node scheduled without PIM channels");
-    PF_ASSERT(isPimCandidate(N), "PIM node is not offloadable");
+    PF_ASSERT(isPimCandidate(G.node(Id)), "PIM node is not offloadable");
     PimCommandGenerator Gen(Config.Pim, Config.Codegen);
     return Gen.plan(lowerToPimSpec(G, Id)).Ns;
   }
-  const DataMovementCost DM = MemOpt.classify(G, Id);
-  if (DM == DataMovementCost::Free)
-    return 0.0;
-  if (DM == DataMovementCost::Copy) {
-    const double Bytes = static_cast<double>(MemOpt.copyBytes(G, Id));
-    return Bytes / Config.Gpu.memBandwidth() * 1e9 +
-           Config.Gpu.LightKernelLaunchNs;
-  }
-  return Gpu.nodeTime(G, Id).Ns;
+  return gpuCostOf(G, Id, Config, Gpu, MemOpt).Ns;
 }
 
 double ExecutionEngine::nodeEnergyJ(const Graph &G, NodeId Id,
                                     Device Dev) const {
-  const Node &N = G.node(Id);
   if (Dev == Device::Pim) {
     PimCommandGenerator Gen(Config.Pim, Config.Codegen);
     PimSimulator Sim(Config.Pim);
     const PimKernelPlan Plan = Gen.plan(lowerToPimSpec(G, Id));
     return Sim.energyJ(Plan.Stats, Plan.EffectiveMacs);
   }
-  const DataMovementCost DM = MemOpt.classify(G, Id);
-  if (DM == DataMovementCost::Free)
-    return 0.0;
-  if (DM == DataMovementCost::Copy) {
-    // A copy is a pure-bandwidth kernel.
-    GpuKernelTime T;
-    T.Ns = nodeLatencyNs(G, Id, Device::Gpu);
-    T.Utilization = 0.3;
-    return Gpu.kernelEnergyJ(T);
-  }
-  (void)N;
-  return Gpu.kernelEnergyJ(Gpu.nodeTime(G, Id));
+  return gpuCostOf(G, Id, Config, Gpu, MemOpt).EnergyJ;
 }
 
 Timeline ExecutionEngine::execute(const Graph &G) const {
@@ -135,134 +126,197 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
                             const RetryPolicy *Retry) const {
   PF_TRACE_SCOPE_CAT("engine.execute", "execute");
   PF_ASSERT(!Faults || Retry, "fault-aware execution needs a retry policy");
+  const size_t LiveNodes = G.numNodes();
   obs::addCounter("engine.executions");
-  obs::addCounter("engine.nodes_scheduled",
-                  static_cast<int64_t>(G.numNodes()));
+  obs::addCounter("engine.nodes_scheduled", static_cast<int64_t>(LiveNodes));
   obs::flightEvent(obs::FlightEventKind::ExecStart, 0,
-                   static_cast<int32_t>(G.numNodes()), Config.Pim.Channels);
+                   static_cast<int32_t>(LiveNodes), Config.Pim.Channels);
   // Any failed tryExecute leaves a flight trace behind (when a dump path is
   // configured): record the error event, then snapshot all rings.
   auto FailExec = [](const char *What) {
     obs::flightEvent(obs::FlightEventKind::ExecError, 0, -1, -1, 0.0, What);
     obs::FlightRecorder::instance().autoDump(What);
   };
-  PimPlanCache Cache;
   PimCommandGenerator Gen(Config.Pim.Channels > 0
                               ? Config.Pim
                               : PimConfig::newtonPlus(),
                           Config.Codegen);
   PimSimulator Sim(Config.Pim);
 
-  // One scheduling pass; \p GpuScale inflates GPU kernel durations (used by
-  // the contention model's second pass). Nodes are dispatched to their
-  // device queues greedily by earliest start time, so independent GPU and
-  // PIM work (MD-DP halves, pipeline stages) overlaps as the hardware
-  // would run it rather than serializing in topological order.
+  // A cyclic dependency set never becomes ready, so Kahn's order comes up
+  // short — surface a diagnostic instead of silently scheduling a partial
+  // graph (or spinning forever looking for a ready node).
+  const std::vector<NodeId> Order = G.tryTopoOrder();
+  const size_t NumNodes = Order.size();
+  if (NumNodes != LiveNodes) {
+    DE.error(DiagCode::ExecUnschedulable, G.name(),
+             formatStr("dependency cycle: only %zu of %zu live nodes are "
+                       "schedulable",
+                       NumNodes, LiveNodes));
+    FailExec("exec.unschedulable: dependency cycle");
+    return std::nullopt;
+  }
+
+  // Static per-node facts, indexed by topological position. Device
+  // annotations fix the producing device of every value up front, and
+  // every cost but a GPU kernel's contention scaling (and, under faults,
+  // the fault-aware PIM run) is the same in both scheduling passes.
+  struct NodeInfo {
+    NodeId Id = InvalidNode;
+    Device Dev = Device::Gpu;
+    /// Duration scales with the contention model's GPU slowdown.
+    bool GpuKernel = false;
+    double BaseNs = 0.0; ///< Duration before contention scaling.
+    double EnergyJ = 0.0;
+    int Inputs = 0;      ///< Distinct produced input values.
+    size_t Plan = 0;     ///< PIM nodes: index into Plans.
+  };
+  std::vector<NodeInfo> Info(NumNodes);
+  std::vector<PimKernelPlan> Plans;
+  std::vector<uint32_t> PosOf(G.numNodesIncludingDead());
+
+  // Fault-aware PIM timing of \p NI. Runs in both scheduling passes,
+  // like every other fault-path effect (counters, flight events, channel
+  // metrics), so a faulted run reports each kernel once per pass.
+  auto CostFaulted = [&](NodeInfo &NI) {
+    const PimKernelPlan &Plan = Plans[NI.Plan];
+    const FaultyRunStats FS = Sim.runWithFaults(Plan.Trace, *Faults, *Retry);
+    if (FS.anyPersistent()) {
+      // Recovery must remap or fall back before the engine runs; a
+      // persistent fault here would make the timeline silently wrong.
+      DE.error(DiagCode::FaultUnrecovered, G.node(NI.Id).Name,
+               "persistent channel fault reached the execution engine "
+               "unrecovered");
+      FailExec("fault.unrecovered");
+      return false;
+    }
+    obs::addCounter("engine.fault_retries", FS.TotalRetries);
+    NI.BaseNs = FS.Stats.Ns;
+    NI.EnergyJ = Sim.energyJ(FS.Stats, Plan.EffectiveMacs);
+    return true;
+  };
+  const bool Faulted = Faults && !Faults->empty();
+
+  for (size_t I = 0; I < NumNodes; ++I) {
+    const Node &N = G.node(Order[I]);
+    NodeInfo &NI = Info[I];
+    NI.Id = N.Id;
+    PosOf[static_cast<size_t>(N.Id)] = static_cast<uint32_t>(I);
+    NI.Dev = N.Dev == Device::Pim ? Device::Pim : Device::Gpu;
+    if (NI.Dev == Device::Pim) {
+      if (!Config.hasPim()) {
+        DE.error(DiagCode::ExecNoPimChannels, N.Name,
+                 "node is annotated for PIM but the system configuration "
+                 "has zero PIM channels");
+        FailExec("exec.no-pim-channels");
+        return std::nullopt;
+      }
+      NI.Plan = Plans.size();
+      Plans.push_back(Gen.plan(lowerToPimSpec(G, N.Id)));
+      if (Faulted) {
+        if (!CostFaulted(NI))
+          return std::nullopt;
+      } else {
+        NI.BaseNs = Plans.back().Ns;
+        NI.EnergyJ = Sim.energyJ(Plans.back().Stats,
+                                 Plans.back().EffectiveMacs);
+      }
+    } else if (!isFusableEpilogue(N.Kind)) {
+      // Elementwise nodes fuse into their producer's epilogue (GPU) or the
+      // PIM drain path: no standalone kernel either way, so they keep zero
+      // cost.
+      const GpuCost C = gpuCostOf(G, N.Id, Config, Gpu, MemOpt);
+      NI.GpuKernel = true;
+      NI.BaseNs = C.Ns;
+      NI.EnergyJ = C.EnergyJ;
+    }
+    for (auto It = N.Inputs.begin(); It != N.Inputs.end(); ++It)
+      if (G.producer(*It) != InvalidNode &&
+          std::find(N.Inputs.begin(), It, *It) == It)
+        ++NI.Inputs;
+  }
+  const ConsumerIndex Consumers(G);
+
+  // Per-pass scheduling state, allocated once.
+  std::vector<int> Pending(NumNodes);
+  std::vector<double> ReadyNs(NumNodes); ///< Max over scheduled deps.
+  // The ready nodes of one device. A node whose dependencies are met by
+  // the time the device frees up is Released (min-heap on topological
+  // index); one still waiting on a dependency is Waiting (min-heap on
+  // (ReadyNs, topological index)). Free only grows, so Waiting nodes move
+  // to Released lazily and each node moves at most once.
+  struct Lane {
+    double Free = 0.0;
+    std::vector<uint32_t> Released;
+    std::vector<uint32_t> Waiting;
+  };
+  Lane Lanes[2]; // GPU, PIM
+  const auto ByIndex = [](uint32_t A, uint32_t B) { return A > B; };
+  const auto ByReady = [&ReadyNs](uint32_t A, uint32_t B) {
+    return ReadyNs[A] != ReadyNs[B] ? ReadyNs[A] > ReadyNs[B] : A > B;
+  };
+  auto Release = [&](Lane &L, uint32_t I) {
+    L.Released.push_back(I);
+    std::push_heap(L.Released.begin(), L.Released.end(), ByIndex);
+  };
+  auto MakeReady = [&](uint32_t I) {
+    Lane &L = Lanes[Info[I].Dev == Device::Pim ? 1 : 0];
+    if (ReadyNs[I] <= L.Free) {
+      Release(L, I);
+    } else {
+      L.Waiting.push_back(I);
+      std::push_heap(L.Waiting.begin(), L.Waiting.end(), ByReady);
+    }
+  };
+
+  // One list-scheduling pass; \p GpuScale inflates GPU kernel durations
+  // (the contention model's second pass). Each step dispatches the ready
+  // node with the earliest achievable start, max(device free, ReadyNs),
+  // ties to the lowest topological index — so independent GPU and PIM
+  // work (MD-DP halves, pipeline stages) overlaps as the hardware would
+  // run it rather than serializing in topological order. A device's best
+  // candidate is its lowest-index Released node (start = Free) or else its
+  // earliest Waiting node (start = ReadyNs > Free), so a step costs
+  // O(log N) and the pass O((N + E) log N).
   auto SchedulePass = [&](double GpuScale) -> std::optional<Timeline> {
     Timeline TL;
-    const std::vector<NodeId> Order = G.tryTopoOrder();
-
-    // A cyclic dependency set never becomes ready, so Kahn's order comes up
-    // short — surface a diagnostic instead of silently scheduling a partial
-    // graph (or spinning forever looking for a ready node).
-    size_t LiveNodes = 0;
-    for (const Node &N : G.nodes())
-      LiveNodes += N.Dead ? 0 : 1;
-    if (Order.size() != LiveNodes) {
-      DE.error(DiagCode::ExecUnschedulable, G.name(),
-               formatStr("dependency cycle: only %zu of %zu live nodes are "
-                         "schedulable",
-                         Order.size(), LiveNodes));
-      FailExec("exec.unschedulable: dependency cycle");
-      return std::nullopt;
+    TL.Nodes.reserve(NumNodes);
+    int64_t Handoffs = 0;
+    for (Lane &L : Lanes) {
+      L.Free = 0.0;
+      L.Released.clear();
+      L.Waiting.clear();
+    }
+    for (uint32_t I = 0; I < NumNodes; ++I) {
+      Pending[I] = Info[I].Inputs;
+      ReadyNs[I] = 0.0;
+      if (Pending[I] == 0)
+        MakeReady(I);
     }
 
-    // Static per-node properties (device annotations fix the producing
-    // device of every value up front).
-    struct NodeInfo {
-      Device Dev = Device::Gpu;
-      double Duration = 0.0;
-      double EnergyJ = 0.0;
-      int Pending = 0;      ///< Unscheduled producer nodes.
-      double ReadyNs = 0.0; ///< Max over scheduled deps (incl. handoffs).
-      bool Scheduled = false;
-      size_t TopoIdx = 0;
-    };
-    std::unordered_map<NodeId, NodeInfo> Info;
-
-    for (size_t I = 0; I < Order.size(); ++I) {
-      const Node &N = G.node(Order[I]);
-      NodeInfo NI;
-      NI.TopoIdx = I;
-      NI.Dev = N.Dev == Device::Pim ? Device::Pim : Device::Gpu;
-      if (NI.Dev == Device::Pim) {
-        if (!Config.hasPim()) {
-          DE.error(DiagCode::ExecNoPimChannels, N.Name,
-                   "node is annotated for PIM but the system configuration "
-                   "has zero PIM channels");
-          FailExec("exec.no-pim-channels");
-          return std::nullopt;
-        }
-        const PimKernelPlan &Plan = Cache.planFor(G, Order[I], Gen);
-        if (Faults && !Faults->empty()) {
-          const FaultyRunStats FS =
-              Sim.runWithFaults(Plan.Trace, *Faults, *Retry);
-          if (FS.anyPersistent()) {
-            // Recovery must remap or fall back before the engine runs; a
-            // persistent fault here would make the timeline silently wrong.
-            DE.error(DiagCode::FaultUnrecovered, N.Name,
-                     "persistent channel fault reached the execution engine "
-                     "unrecovered");
-            FailExec("fault.unrecovered");
-            return std::nullopt;
-          }
-          obs::addCounter("engine.fault_retries", FS.TotalRetries);
-          NI.Duration = FS.Stats.Ns;
-          NI.EnergyJ = Sim.energyJ(FS.Stats, Plan.EffectiveMacs);
-        } else {
-          NI.Duration = Plan.Ns;
-          NI.EnergyJ = Sim.energyJ(Plan.Stats, Plan.EffectiveMacs);
-        }
-      } else if (isFusableEpilogue(N.Kind)) {
-        // Elementwise nodes fuse into their producer's epilogue (GPU) or
-        // the PIM drain path: no standalone kernel either way.
-        NI.Duration = 0.0;
-        NI.EnergyJ = 0.0;
-      } else {
-        NI.Duration = nodeLatencyNs(G, Order[I], Device::Gpu) * GpuScale;
-        NI.EnergyJ = nodeEnergyJ(G, Order[I], Device::Gpu);
-      }
-      // Count distinct produced input values (consumers() reports each
-      // consumer once per value, so duplicates must not double-count).
-      std::vector<ValueId> Seen;
-      for (ValueId In : N.Inputs) {
-        if (G.producer(In) == InvalidNode)
-          continue;
-        if (std::find(Seen.begin(), Seen.end(), In) != Seen.end())
-          continue;
-        Seen.push_back(In);
-        ++NI.Pending;
-      }
-      Info.emplace(Order[I], NI);
-    }
-
-    double GpuFree = 0.0, PimFree = 0.0;
-    size_t Remaining = Order.size();
-    while (Remaining > 0) {
-      // Pick the ready node with the earliest achievable start; break ties
-      // by topological index for determinism.
-      NodeId BestId = InvalidNode;
+    for (size_t Remaining = NumNodes; Remaining > 0; --Remaining) {
+      Lane *Best = nullptr;
       double BestStart = 0.0;
-      for (NodeId Id : Order) {
-        NodeInfo &NI = Info.at(Id);
-        if (NI.Scheduled || NI.Pending > 0)
+      uint32_t BestIdx = 0;
+      for (Lane &L : Lanes) {
+        while (!L.Waiting.empty() && ReadyNs[L.Waiting.front()] <= L.Free) {
+          std::pop_heap(L.Waiting.begin(), L.Waiting.end(), ByReady);
+          Release(L, L.Waiting.back());
+          L.Waiting.pop_back();
+        }
+        double Start;
+        uint32_t Idx;
+        if (!L.Released.empty())
+          Start = L.Free, Idx = L.Released.front();
+        else if (!L.Waiting.empty())
+          Start = ReadyNs[L.Waiting.front()], Idx = L.Waiting.front();
+        else
           continue;
-        const double Free = NI.Dev == Device::Pim ? PimFree : GpuFree;
-        const double Start = std::max(Free, NI.ReadyNs);
-        if (BestId == InvalidNode || Start < BestStart)
-          BestId = Id, BestStart = Start;
+        if (!Best || Start < BestStart ||
+            (Start == BestStart && Idx < BestIdx))
+          Best = &L, BestStart = Start, BestIdx = Idx;
       }
-      if (BestId == InvalidNode) {
+      if (!Best) {
         // Unreachable for acyclic graphs (checked above), but a diagnostic
         // beats an infinite loop if the invariant ever breaks.
         DE.error(DiagCode::ExecUnschedulable, G.name(),
@@ -271,23 +325,24 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
         FailExec("exec.unschedulable: scheduler deadlock");
         return std::nullopt;
       }
+      if (!Best->Released.empty()) {
+        std::pop_heap(Best->Released.begin(), Best->Released.end(), ByIndex);
+        Best->Released.pop_back();
+      } else {
+        std::pop_heap(Best->Waiting.begin(), Best->Waiting.end(), ByReady);
+        Best->Waiting.pop_back();
+      }
 
-      NodeInfo &NI = Info.at(BestId);
-      const double End = BestStart + NI.Duration;
-      NI.Scheduled = true;
-      --Remaining;
+      const NodeInfo &NI = Info[BestIdx];
+      const double Duration = NI.GpuKernel ? NI.BaseNs * GpuScale : NI.BaseNs;
+      const double End = BestStart + Duration;
       // Zero-duration nodes (fused elementwise, free data movement) do not
       // occupy the device.
-      if (NI.Duration > 0.0) {
-        if (NI.Dev == Device::Pim) {
-          PimFree = End;
-          TL.PimBusyNs += NI.Duration;
-        } else {
-          GpuFree = End;
-          TL.GpuBusyNs += NI.Duration;
-        }
+      if (Duration > 0.0) {
+        Best->Free = End;
+        (NI.Dev == Device::Pim ? TL.PimBusyNs : TL.GpuBusyNs) += Duration;
       }
-      TL.Nodes.push_back(NodeSchedule{BestId, NI.Dev, BestStart, End,
+      TL.Nodes.push_back(NodeSchedule{NI.Id, NI.Dev, BestStart, End,
                                       NI.EnergyJ});
       TL.TotalNs = std::max(TL.TotalNs, End);
 
@@ -296,22 +351,22 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
       // kernel's input fetch is modeled by its GWRITE commands and a PIM
       // result is read in place by the consumer through the channel
       // interconnect.
-      for (ValueId Out : G.node(BestId).Outputs) {
-        for (NodeId Consumer : G.consumers(Out)) {
-          auto It = Info.find(Consumer);
-          if (It == Info.end())
-            continue;
-          NodeInfo &CI = It->second;
+      for (ValueId Out : G.node(NI.Id).Outputs) {
+        for (NodeId Consumer : Consumers.consumers(Out)) {
+          const uint32_t J = PosOf[static_cast<size_t>(Consumer)];
           double Avail = End;
-          if (CI.Dev != NI.Dev) {
+          if (Info[J].Dev != NI.Dev) {
             Avail += Config.SyncOverheadNs;
-            obs::addCounter("engine.cross_device_handoffs");
+            ++Handoffs;
           }
-          CI.ReadyNs = std::max(CI.ReadyNs, Avail);
-          --CI.Pending;
+          ReadyNs[J] = std::max(ReadyNs[J], Avail);
+          if (--Pending[J] == 0)
+            MakeReady(J);
         }
       }
     }
+    if (Handoffs > 0)
+      obs::addCounter("engine.cross_device_handoffs", Handoffs);
     return TL;
   };
 
@@ -324,15 +379,19 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
     // PIM fetch traffic occupies the shared memory controller; GPU kernels
     // overlapping it slow down proportionally to the fetch-busy fraction.
     double FetchCycles = 0.0;
-    for (const auto &Entry : Cache.Plans)
-      FetchCycles +=
-          static_cast<double>(Entry.second.Stats.GwriteBursts) *
-          static_cast<double>(Config.Pim.TCcdl);
+    for (const PimKernelPlan &Plan : Plans)
+      FetchCycles += static_cast<double>(Plan.Stats.GwriteBursts) *
+                     static_cast<double>(Config.Pim.TCcdl);
     const double FetchNs = Config.Pim.cyclesToNs(
         static_cast<int64_t>(FetchCycles));
     const double Fraction = std::min(1.0, FetchNs / TL.TotalNs);
     const double Slowdown = 1.0 + Config.ContentionFactor * Fraction;
     obs::addCounter("engine.contention_reschedules");
+    // Under faults every pass prices its PIM kernels afresh (CostFaulted).
+    if (Faulted)
+      for (NodeInfo &NI : Info)
+        if (NI.Dev == Device::Pim && !CostFaulted(NI))
+          return std::nullopt;
     // The first pass succeeded, so the rescaled pass cannot fail: scaling
     // GPU durations changes no schedulability property.
     MaybeTL = SchedulePass(Slowdown);
@@ -354,14 +413,20 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
   // Streaming telemetry off the final timeline only (the contention model's
   // first pass would double-count): per-node latency quantiles windowed
   // over wall time, plus the completion event for the flight trace.
-  if (obs::activeMetrics().enabled()) {
+  obs::MetricsRegistry &M = obs::activeMetrics();
+  if (M.enabled() && !TL.Nodes.empty()) {
     const int64_t NowUs =
         static_cast<int64_t>(obs::Tracer::instance().nowUs());
-    for (const NodeSchedule &S : TL.Nodes)
-      obs::recordMetricWindowed("engine.node_duration_ns",
-                                obs::TickDomain::WallUs,
-                                /*BucketWidth=*/100'000, NowUs,
-                                S.EndNs - S.StartNs);
+    // What recordMetricWindowed does per sample, with the two registry
+    // lookups hoisted out of the per-node loop.
+    obs::LogLinearHistogram &Hist = M.histogram("engine.node_duration_ns");
+    obs::SlidingWindow &Window =
+        M.window("engine.node_duration_ns", obs::TickDomain::WallUs,
+                 /*BucketWidth=*/100'000);
+    for (const NodeSchedule &S : TL.Nodes) {
+      Hist.record(S.EndNs - S.StartNs);
+      Window.record(NowUs, S.EndNs - S.StartNs);
+    }
   }
   obs::flightEvent(obs::FlightEventKind::ExecDone, 0,
                    static_cast<int32_t>(TL.Nodes.size()), -1, TL.TotalNs);

@@ -8,7 +8,7 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_map>
+#include <vector>
 
 using namespace pf;
 
@@ -19,10 +19,17 @@ MemoryPlan pf::planMemory(const Graph &G, const Timeline &TL,
     if (V.IsParam)
       Plan.WeightBytes += V.byteCount();
 
-  // Schedule times per node.
-  std::unordered_map<NodeId, const NodeSchedule *> Sched;
+  // Schedule entry per node id (null when unscheduled).
+  std::vector<const NodeSchedule *> Sched(G.numNodesIncludingDead());
   for (const NodeSchedule &S : TL.Nodes)
-    Sched[S.Id] = &S;
+    Sched[static_cast<size_t>(S.Id)] = &S;
+  const ConsumerIndex Consumers(G);
+  auto LastConsumerEnd = [&](ValueId V, double ReleaseNs) {
+    for (NodeId Consumer : Consumers.consumers(V))
+      if (const NodeSchedule *C = Sched[static_cast<size_t>(Consumer)])
+        ReleaseNs = std::max(ReleaseNs, C->EndNs);
+    return ReleaseNs;
+  };
 
   // A value's buffer is allocated when its producer starts and released
   // when its last consumer ends (graph outputs live to the end). Aliased
@@ -43,11 +50,7 @@ MemoryPlan pf::planMemory(const Graph &G, const Timeline &TL,
       for (ValueId GOut : G.graphOutputs())
         if (GOut == Out)
           ReleaseNs = TL.TotalNs;
-      for (NodeId Consumer : G.consumers(Out)) {
-        auto It = Sched.find(Consumer);
-        if (It != Sched.end())
-          ReleaseNs = std::max(ReleaseNs, It->second->EndNs);
-      }
+      ReleaseNs = LastConsumerEnd(Out, ReleaseNs);
       Deltas[S.StartNs] += Bytes;
       // Epsilon past release so back-to-back alloc/free at the same
       // timestamp counts both buffers as briefly coresident (a safe
@@ -57,12 +60,7 @@ MemoryPlan pf::planMemory(const Graph &G, const Timeline &TL,
   }
   // Graph inputs are resident from time zero until their last consumer.
   for (ValueId In : G.graphInputs()) {
-    double ReleaseNs = 0.0;
-    for (NodeId Consumer : G.consumers(In)) {
-      auto It = Sched.find(Consumer);
-      if (It != Sched.end())
-        ReleaseNs = std::max(ReleaseNs, It->second->EndNs);
-    }
+    const double ReleaseNs = LastConsumerEnd(In, 0.0);
     Deltas[0.0] += G.value(In).byteCount();
     Deltas[ReleaseNs + 1e-9] -= G.value(In).byteCount();
   }

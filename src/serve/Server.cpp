@@ -253,10 +253,14 @@ ServeResult Server::run(const LoadSpec &Spec, DiagnosticEngine *DE) {
       RunResult RR;
       RR.TotalNs = TL.TotalNs;
       // Partially-executed-timeline guard: every live node must have a
-      // schedule entry. Probed with find() — absence is a diagnostic
-      // (serve.timeline-gap), never a fatal() killing the server.
+      // schedule entry. One pass over the timeline marks the scheduled
+      // ids; absence is a diagnostic (serve.timeline-gap), never a fatal()
+      // killing the server.
+      std::vector<bool> Scheduled(G.numNodesIncludingDead());
+      for (const NodeSchedule &NS : TL.Nodes)
+        Scheduled[static_cast<size_t>(NS.Id)] = true;
       for (const Node &N : G.nodes())
-        if (!N.Dead && !TL.find(N.Id))
+        if (!N.Dead && !Scheduled[static_cast<size_t>(N.Id)])
           ++RR.MissingNodes;
       if (RR.MissingNodes > 0)
         obs::addCounter("serve.timeline_gaps", RR.MissingNodes);

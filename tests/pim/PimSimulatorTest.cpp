@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/Scope.h"
+#include "pim/ReferenceSimulator.h"
+
 using namespace pf;
 
 namespace {
@@ -142,6 +145,128 @@ TEST(PimSimulatorTest, MakespanIsMaxOverChannels) {
   EXPECT_EQ(Stats.Cycles, 100 * C.TComp);
   EXPECT_EQ(Stats.ActiveChannels, 2);
   EXPECT_EQ(Stats.CompColumns, 110);
+}
+
+TEST(PimSimulatorTest, RepeatedChannelTracesMatchChannelByChannel) {
+  // run() simulates each distinct trace once and reuses the result for
+  // identical channels; the outcome must equal simulating every channel on
+  // its own. A and ALonger differ only in Repeats, so they must not share.
+  const std::vector<PimCommand> PatternA = {
+      PimCommand::gwrite(9, 1), PimCommand::gact(2), PimCommand::comp(17),
+      PimCommand::readRes(3)};
+  const ChannelTrace A = singleBlock(PatternA, 5);
+  const ChannelTrace ALonger = singleBlock(PatternA, 8);
+  ChannelTrace B = singleBlock({PimCommand::gwrite(4, 2), PimCommand::gact(1),
+                                PimCommand::comp(40)},
+                               3);
+  B.Blocks.push_back(CommandBlock{{PimCommand::readRes(6)}, 2});
+  const std::vector<ChannelTrace> Channels = {A, A, B, ChannelTrace{},
+                                              A, B, ALonger};
+
+  for (const PimConfig &C : {baseConfig(), PimConfig::newtonPlusPlus()}) {
+    PimConfig Config = C;
+    Config.Channels = static_cast<int>(Channels.size());
+    PimSimulator Sim(Config);
+    DeviceTrace Mixed(Config.Channels);
+    Mixed.Channels = Channels;
+
+    obs::Scope MixedScope;
+    PimRunStats Stats;
+    {
+      obs::ScopeGuard Guard(MixedScope);
+      Stats = Sim.run(Mixed);
+    }
+
+    // Reference: every channel on its own, in channel order, through the
+    // unit-event model and a single-channel run (which also streams that
+    // channel's pim.channel_cycles sample, in the same order).
+    obs::Scope RefScope;
+    PimRunStats Expected;
+    {
+      obs::ScopeGuard Guard(RefScope);
+      for (size_t Ch = 0; Ch < Channels.size(); ++Ch) {
+        if (Channels[Ch].empty())
+          continue;
+        const int64_t Cycles = referenceSimulateChannel(Config, Channels[Ch]);
+        DeviceTrace One(Config.Channels);
+        One.Channels[Ch] = Channels[Ch];
+        const PimRunStats Single = Sim.run(One);
+        Expected.Cycles = std::max(Expected.Cycles, Cycles);
+        Expected.BusyCycleSum += Cycles;
+        ++Expected.ActiveChannels;
+        Expected.GwriteCmds += Single.GwriteCmds;
+        Expected.GwriteBursts += Single.GwriteBursts;
+        Expected.GActs += Single.GActs;
+        Expected.CompCmds += Single.CompCmds;
+        Expected.CompColumns += Single.CompColumns;
+        Expected.ReadResCmds += Single.ReadResCmds;
+        ChannelPhaseCycles P = phaseCyclesOf(Config, Channels[Ch]);
+        P.Channel = static_cast<int>(Ch);
+        P.CompletionCycles = Cycles;
+        Expected.ChannelPhases.push_back(P);
+      }
+    }
+
+    const std::string Ctx =
+        "hiding=" + std::to_string(Config.GwriteLatencyHiding);
+    EXPECT_EQ(Stats.Cycles, Expected.Cycles) << Ctx;
+    EXPECT_EQ(Stats.Ns, Config.cyclesToNs(Expected.Cycles)) << Ctx;
+    EXPECT_EQ(Stats.BusyCycleSum, Expected.BusyCycleSum) << Ctx;
+    EXPECT_EQ(Stats.ActiveChannels, 6) << Ctx;
+    EXPECT_EQ(Stats.GwriteCmds, Expected.GwriteCmds) << Ctx;
+    EXPECT_EQ(Stats.GwriteBursts, Expected.GwriteBursts) << Ctx;
+    EXPECT_EQ(Stats.GActs, Expected.GActs) << Ctx;
+    EXPECT_EQ(Stats.CompCmds, Expected.CompCmds) << Ctx;
+    EXPECT_EQ(Stats.CompColumns, Expected.CompColumns) << Ctx;
+    EXPECT_EQ(Stats.ReadResCmds, Expected.ReadResCmds) << Ctx;
+    ASSERT_EQ(Stats.ChannelPhases.size(), Expected.ChannelPhases.size());
+    for (size_t I = 0; I < Stats.ChannelPhases.size(); ++I) {
+      const ChannelPhaseCycles &Got = Stats.ChannelPhases[I];
+      const ChannelPhaseCycles &Want = Expected.ChannelPhases[I];
+      EXPECT_EQ(Got.Channel, Want.Channel) << Ctx;
+      EXPECT_EQ(Got.GwriteCycles, Want.GwriteCycles) << Ctx;
+      EXPECT_EQ(Got.GactCycles, Want.GactCycles) << Ctx;
+      EXPECT_EQ(Got.CompCycles, Want.CompCycles) << Ctx;
+      EXPECT_EQ(Got.ReadResCycles, Want.ReadResCycles) << Ctx;
+      EXPECT_EQ(Got.RetryCycles, 0) << Ctx;
+      EXPECT_EQ(Got.StallCycles, 0) << Ctx;
+      EXPECT_EQ(Got.CompletionCycles, Want.CompletionCycles) << Ctx;
+    }
+
+    // The pim.channel_cycles histogram and its simulated-cycle window see
+    // the same samples in the same order.
+    const obs::MetricsRegistry &M = MixedScope.metrics();
+    const obs::MetricsRegistry &R = RefScope.metrics();
+    EXPECT_EQ(M.cycles(), R.cycles()) << Ctx;
+    const auto Hists = M.histogramSnapshot();
+    const auto RefHists = R.histogramSnapshot();
+    ASSERT_EQ(Hists.size(), 1u) << Ctx;
+    ASSERT_EQ(RefHists.size(), 1u) << Ctx;
+    EXPECT_EQ(Hists[0].first, "pim.channel_cycles");
+    EXPECT_EQ(RefHists[0].first, "pim.channel_cycles");
+    const obs::QuantileStats &Q = Hists[0].second, &RQ = RefHists[0].second;
+    EXPECT_EQ(Q.Count, 6) << Ctx;
+    EXPECT_EQ(Q.Count, RQ.Count) << Ctx;
+    EXPECT_EQ(Q.Sum, RQ.Sum) << Ctx;
+    EXPECT_EQ(Q.Min, RQ.Min) << Ctx;
+    EXPECT_EQ(Q.Max, RQ.Max) << Ctx;
+    EXPECT_EQ(Q.P50, RQ.P50) << Ctx;
+    EXPECT_EQ(Q.P90, RQ.P90) << Ctx;
+    EXPECT_EQ(Q.P99, RQ.P99) << Ctx;
+    EXPECT_EQ(Q.P999, RQ.P999) << Ctx;
+    const auto Windows = M.windowSnapshot();
+    const auto RefWindows = R.windowSnapshot();
+    ASSERT_EQ(Windows.size(), 1u) << Ctx;
+    ASSERT_EQ(RefWindows.size(), 1u) << Ctx;
+    EXPECT_EQ(Windows[0].first, RefWindows[0].first) << Ctx;
+    const obs::WindowStats &W = Windows[0].second, &RW = RefWindows[0].second;
+    EXPECT_EQ(W.Domain, obs::TickDomain::SimCycles) << Ctx;
+    EXPECT_EQ(W.Domain, RW.Domain) << Ctx;
+    EXPECT_EQ(W.BucketWidth, RW.BucketWidth) << Ctx;
+    EXPECT_EQ(W.SpanTicks, RW.SpanTicks) << Ctx;
+    EXPECT_EQ(W.Count, RW.Count) << Ctx;
+    EXPECT_EQ(W.Sum, RW.Sum) << Ctx;
+  }
 }
 
 TEST(PimSimulatorTest, CommandCounting) {

@@ -70,6 +70,27 @@ TEST(ExecutionEngineTest, IndependentNodesOverlapAcrossDevices) {
             Convs[0]->durationNs() + Convs[1]->durationNs() + 1000.0);
 }
 
+TEST(ExecutionEngineTest, CrossDeviceTieGoesToLowerTopologicalIndex) {
+  // Both convs can start at t=0, each on its own device, so only the tie
+  // rule orders them: the lower topological index is dispatched first,
+  // whichever device it runs on.
+  for (int PimConv : {0, 1}) {
+    Graph G = parallelPair();
+    std::vector<NodeId> Convs;
+    for (NodeId Id : G.topoOrder())
+      if (G.node(Id).Kind == OpKind::Conv2d)
+        Convs.push_back(Id);
+    ASSERT_EQ(Convs.size(), 2u);
+    G.node(Convs[static_cast<size_t>(PimConv)]).Dev = Device::Pim;
+    const Timeline TL = ExecutionEngine(dualConfig()).execute(G);
+    ASSERT_GE(TL.Nodes.size(), 2u);
+    EXPECT_EQ(TL.Nodes[0].Id, Convs[0]) << "PIM conv #" << PimConv;
+    EXPECT_EQ(TL.Nodes[1].Id, Convs[1]) << "PIM conv #" << PimConv;
+    EXPECT_EQ(TL.Nodes[0].StartNs, 0.0);
+    EXPECT_EQ(TL.Nodes[1].StartNs, 0.0);
+  }
+}
+
 TEST(ExecutionEngineTest, SameDeviceSerializes) {
   Graph G = parallelPair();
   ExecutionEngine E(dualConfig());

@@ -3,7 +3,7 @@
 #
 # Part of the PIMFlow reproduction, released under the MIT license.
 #
-# Three passes:
+# The tiers:
 #   1. The tier-1 gate: configure, build, and run the full test suite in
 #      build/ (exactly what ROADMAP.md specifies).
 #   2. A PIMFLOW_CHECKED tree in build-checked/ running the full suite with
@@ -46,9 +46,11 @@
 #      byte-identical across --jobs values while the breaker demonstrably
 #      trips, probes, and re-admits; plus a tight-deadline burst proving
 #      queued expiries shed and late completions classify.
-#  10. The memory/UB tier: the serve + runtime resilience suites rebuilt
-#      and re-run under AddressSanitizer and UndefinedBehaviorSanitizer
-#      (PIMFLOW_SANITIZE=address|undefined; UBSan findings are fatal).
+#  10. The memory/UB tier: the serve + runtime resilience suites, the
+#      execution-engine suites (timeline goldens included) and the PIM
+#      simulator suite rebuilt and re-run under AddressSanitizer and
+#      UndefinedBehaviorSanitizer (PIMFLOW_SANITIZE=address|undefined;
+#      UBSan findings are fatal).
 #  11. The request-tracing tier: a 200-request chaos serve run with
 #      --trace-out + --trace-sample=tail whose Chrome trace must be
 #      byte-identical across --jobs values, pf_trace_check-clean (span
@@ -56,6 +58,9 @@
 #      deadline-missed, fault, and breaker events; then `pimflow report
 #      --request=` on a deadline-missed id must render its segment
 #      breakdown; finally the tracing suites re-run under TSan.
+#  12. The Release tree: build-release/ with CMAKE_BUILD_TYPE=Release (-O3,
+#      whose deeper optimizer analysis reports warnings -O2 does not), still
+#      under -Werror, running the full test suite.
 #
 # Usage: tools/ci.sh [jobs]   (jobs defaults to nproc)
 #===----------------------------------------------------------------------===#
@@ -309,12 +314,12 @@ cmake -B build-asan -S . -DPIMFLOW_SANITIZE=address
 cmake --build build-asan -j "$JOBS" \
   --target serve_test serve_chaos_test engine_test pim_test
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard'
+  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|ExecutionEngine|EngineTimelineGolden|PimSimulator'
 cmake -B build-ubsan -S . -DPIMFLOW_SANITIZE=undefined
 cmake --build build-ubsan -j "$JOBS" \
   --target serve_test serve_chaos_test engine_test pim_test
 ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" \
-  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard'
+  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|ExecutionEngine|EngineTimelineGolden|PimSimulator'
 
 echo "== tier 11: request tracing — deterministic tail-sampled serve traces =="
 TRACE_DIR=build/trace-smoke
@@ -368,5 +373,10 @@ grep -q 'exec-phase'       "$TRACE_DIR/request.txt"
 # The tracing suites race-free under TSan (tree built in tier 3).
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
   -R 'RequestTrace|TraceCheck'
+
+echo "== tier 12: Release tree — -O3 build under -Werror + full suite =="
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+cmake --build build-release -j "$JOBS"
+ctest --test-dir build-release --output-on-failure -j "$JOBS"
 
 echo "== ci.sh: all passes green =="
