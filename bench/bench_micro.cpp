@@ -15,7 +15,7 @@
 /// *simulated* proxies (channel cycles, plan/search/engine times, toy and
 /// resnet-18 end-to-end) through the bench harness, so its
 /// PIMFLOW_BENCH_JSON dump is machine-independent and can be gated by
-/// pf_perf_diff. Pass --no-wall to skip the wall-clock runs (CI).
+/// `pf_check diff`. Pass --no-wall to skip the wall-clock runs (CI).
 ///
 //===----------------------------------------------------------------------===//
 

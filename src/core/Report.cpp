@@ -53,8 +53,8 @@ ExecutionStats pf::computeStats(const CompileResult &R) {
   return S;
 }
 
-std::string pf::renderReport(const CompileResult &R) {
-  const ExecutionStats S = computeStats(R);
+std::string pf::renderReport(const CompileResult &R,
+                             const ExecutionStats &S) {
   std::string Out;
 
   Out += formatStr("== %s report: %s ==\n\n", policyName(R.Policy),

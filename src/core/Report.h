@@ -42,8 +42,8 @@ struct ExecutionStats {
 /// transformed graph under \p R.Config).
 ExecutionStats computeStats(const CompileResult &R);
 
-/// Renders the full report.
-std::string renderReport(const CompileResult &R);
+/// Renders the full report of \p R with its statistics \p S.
+std::string renderReport(const CompileResult &R, const ExecutionStats &S);
 
 } // namespace pf
 

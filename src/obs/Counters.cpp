@@ -1,4 +1,4 @@
-//===- obs/Counters.cpp - Named counter / histogram registry ----*- C++ -*-===//
+//===- obs/Counters.cpp - Named counter registry ----------------*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
@@ -28,15 +28,6 @@ Counter &Registry::counter(std::string_view Name) {
   return *It->second;
 }
 
-Histogram &Registry::histogram(std::string_view Name) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Histograms.find(Name);
-  if (It == Histograms.end())
-    It = Histograms.emplace(std::string(Name), std::make_unique<Histogram>())
-             .first;
-  return *It->second;
-}
-
 std::vector<std::pair<std::string, int64_t>>
 Registry::counterSnapshot() const {
   std::lock_guard<std::mutex> Lock(Mu);
@@ -51,26 +42,10 @@ Registry::counterSnapshot() const {
   return Out;
 }
 
-std::vector<std::pair<std::string, HistogramStats>>
-Registry::histogramSnapshot() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  std::vector<std::pair<std::string, HistogramStats>> Out;
-  for (const auto &[Name, H] : Histograms) {
-    const HistogramStats S = H->stats();
-    if (S.Count > 0)
-      Out.emplace_back(Name, S);
-  }
-  std::sort(Out.begin(), Out.end(),
-            [](const auto &L, const auto &R) { return L.first < R.first; });
-  return Out;
-}
-
 void Registry::reset() {
   std::lock_guard<std::mutex> Lock(Mu);
   for (auto &[Name, C] : Counters)
     C->reset();
-  for (auto &[Name, H] : Histograms)
-    H->reset();
 }
 
 void pf::obs::setObservabilityEnabled(bool On) {
@@ -93,5 +68,3 @@ void pf::obs::resetAll() {
   MetricsRegistry::instance().reset();
   FlightRecorder::instance().clear();
 }
-
-void pf::obs::resetObservability() { resetAll(); }

@@ -1,20 +1,21 @@
-//===- obs/Counters.h - Named counter / histogram registry ------*- C++ -*-===//
+//===- obs/Counters.h - Named counter registry ------------------*- C++ -*-===//
 //
 // Part of the PIMFlow reproduction, released under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A process-wide registry of named int64 counters and scalar histograms,
-/// exported into the `--json-stats` output. Naming convention (see
+/// A process-wide registry of named int64 counters, exported into the
+/// perf report and the metrics exposition. Naming convention (see
 /// docs/INTERNALS.md section 6): `<module>.<metric>` in lower snake case,
 /// with an optional `.ch<N>` suffix for per-PIM-channel metrics — e.g.
 /// `profiler.cache_hits`, `search.dp_states`, `pim.comp_columns.ch3`.
 ///
 /// Counters are relaxed atomics, safe to bump from concurrent threads.
 /// Like the tracer, the registry is disabled by default and the
-/// `obs::addCounter` / `obs::recordHistogram` helpers early-out on one
-/// relaxed atomic load, so call sites can live in hot paths.
+/// `obs::addCounter` helper early-outs on one relaxed atomic load, so call
+/// sites can live in hot paths. Distributions live in the HDR histograms
+/// of obs/Metrics.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,49 +45,10 @@ private:
   std::atomic<int64_t> V{0};
 };
 
-/// Summary statistics of a histogram (no buckets: count/sum/min/max cover
-/// the compiler-telemetry use cases without a bucketing policy).
-struct HistogramStats {
-  int64_t Count = 0;
-  double Sum = 0.0;
-  double Min = 0.0;
-  double Max = 0.0;
-
-  double mean() const { return Count > 0 ? Sum / Count : 0.0; }
-};
-
-/// A named scalar distribution.
-class Histogram {
-public:
-  void record(double X) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    if (S.Count == 0) {
-      S.Min = S.Max = X;
-    } else {
-      S.Min = X < S.Min ? X : S.Min;
-      S.Max = X > S.Max ? X : S.Max;
-    }
-    ++S.Count;
-    S.Sum += X;
-  }
-  HistogramStats stats() const {
-    std::lock_guard<std::mutex> Lock(Mu);
-    return S;
-  }
-  void reset() {
-    std::lock_guard<std::mutex> Lock(Mu);
-    S = HistogramStats{};
-  }
-
-private:
-  mutable std::mutex Mu;
-  HistogramStats S;
-};
-
-/// A metric registry. The process-wide default lives behind `instance()`;
+/// A counter registry. The process-wide default lives behind `instance()`;
 /// additional instances back session scopes (obs/Scope.h) so concurrent
-/// runs keep private namespaces. Returned Counter/Histogram references
-/// stay valid for the registry's lifetime; reset() zeroes values but never
+/// runs keep private namespaces. Returned Counter references stay valid
+/// for the registry's lifetime; reset() zeroes values but never
 /// invalidates them.
 class Registry {
 public:
@@ -101,16 +63,11 @@ public:
 
   /// Finds or creates the counter named \p Name.
   Counter &counter(std::string_view Name);
-  /// Finds or creates the histogram named \p Name.
-  Histogram &histogram(std::string_view Name);
 
   /// All counters with a non-zero value, sorted by name.
   std::vector<std::pair<std::string, int64_t>> counterSnapshot() const;
-  /// All histograms with at least one sample, sorted by name.
-  std::vector<std::pair<std::string, HistogramStats>>
-  histogramSnapshot() const;
 
-  /// Zeroes every metric (registrations and references survive).
+  /// Zeroes every counter (registrations and references survive).
   void reset();
 
 private:
@@ -118,7 +75,6 @@ private:
   mutable std::mutex Mu;
   // Transparent comparators: a lookup by name allocates no std::string.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> Counters;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> Histograms;
 };
 
 /// The registry obs helpers route to on this thread: the installed
@@ -135,31 +91,21 @@ inline void addCounter(std::string_view Name, int64_t N = 1) {
     R.counter(Name).add(N);
 }
 
-/// Records \p X into histogram \p Name when the active registry is enabled.
-inline void recordHistogram(const char *Name, double X) {
-  Registry &R = activeRegistry();
-  if (R.enabled())
-    R.histogram(Name).record(X);
-}
-
 /// Turns the whole observability layer (tracer + registry) on or off, and
-/// queries it. The driver's --trace-out/--json-stats flags call this.
+/// queries it. The driver's export flags (--trace-out, --perf-report,
+/// --metrics-out) call this.
 void setObservabilityEnabled(bool On);
 bool observabilityEnabled();
 
 /// Clears every *global* observability registry: the Tracer's spans, the
-/// Registry's counters/histograms, the MetricsRegistry's histograms,
-/// gauges, windows, and cycle clock, and the FlightRecorder's per-thread
-/// rings. Used by tests, by the driver between independent compilations,
+/// Registry's counters, the MetricsRegistry's histograms, gauges,
+/// windows, and cycle clock, and the FlightRecorder's per-thread rings. Used by tests, by the driver between independent compilations,
 /// and by the bench harness between iterations so JSON dumps are
 /// per-iteration rather than cumulative. Explicitly excluded: session
 /// scopes (obs/Scope.h) — a Scope's registries belong to its owner and
 /// are reset via Scope::reset(), never by this global sweep.
 /// tests/obs/ResetTest.cpp asserts this coverage contract.
 void resetAll();
-
-/// Alias of resetAll(), kept for existing call sites.
-void resetObservability();
 
 } // namespace pf::obs
 

@@ -317,19 +317,6 @@ std::string pf::obs::renderPrometheus() {
     appendSample(Out, P, V);
   }
 
-  // Aggregate min/max histograms (obs::Registry): no quantiles, so they
-  // export as summary {_sum,_count} plus explicit min/max gauges.
-  for (const auto &[Name, H] : activeRegistry().histogramSnapshot()) {
-    const std::string P = promName(Name);
-    Out += "# TYPE " + P + " summary\n";
-    appendSample(Out, P + "_sum", H.Sum);
-    appendSample(Out, P + "_count", static_cast<double>(H.Count));
-    Out += "# TYPE " + P + "_min gauge\n";
-    appendSample(Out, P + "_min", H.Min);
-    Out += "# TYPE " + P + "_max gauge\n";
-    appendSample(Out, P + "_max", H.Max);
-  }
-
   // HDR histograms: full summaries with bounded-error quantiles.
   for (const auto &[Name, Q] :
        activeMetrics().histogramSnapshot()) {

@@ -236,9 +236,9 @@ inline void advanceSimCycles(int64_t N) {
     M.advanceCycles(N);
 }
 
-/// Renders every enabled-registry metric — counters and min/max histograms
-/// from obs::Registry, gauges / HDR histograms / windows from
-/// MetricsRegistry — in the Prometheus text exposition format, sorted by
+/// Renders every enabled-registry metric — counters from obs::Registry,
+/// gauges / HDR histograms / windows from MetricsRegistry — in the
+/// Prometheus text exposition format, sorted by
 /// metric name within each section. HDR histograms become `summary`
 /// families with p50/p90/p99/p999 `quantile` samples plus `_sum` and
 /// `_count`. Names are sanitized (`.` and `-` become `_`) and prefixed

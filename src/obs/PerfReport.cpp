@@ -122,14 +122,9 @@ void emitDecisions(JsonWriter &W, const CompileResult &R) {
 
 } // namespace
 
-std::string pf::obs::renderPerfReport(const CompileResult &R) {
-  const ExecutionStats S = computeStats(R);
-  const AttributionReport A =
-      attributeTimeline(R.Transformed, R.Schedule, R.Config);
-  // Surface the phase totals as counters too, so they show up in every
-  // counter dump alongside the report.
-  exportPhaseCounters(A.Phases);
-
+std::string pf::obs::renderPerfReport(const CompileResult &R,
+                                      const ExecutionStats &S,
+                                      const AttributionReport &A) {
   JsonWriter W;
   W.beginObject();
   W.field("schema_version", PerfReportSchemaVersion);
@@ -249,11 +244,6 @@ void pf::obs::emitObsSections(JsonWriter &W) {
   }
   W.endObject();
   W.endObject();
-}
-
-bool pf::obs::writePerfReport(const CompileResult &R,
-                              const std::string &Path) {
-  return writeTextFile(Path, renderPerfReport(R));
 }
 
 namespace {

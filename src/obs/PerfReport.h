@@ -6,13 +6,15 @@
 ///
 /// \file
 /// The machine-readable performance report behind the driver's
-/// `--perf-report=<path>` flag: one schema-versioned JSON document merging
-/// the stats export, the timeline attribution (critical path, slack, lane
-/// utilization, per-channel phase cycles) and the search's decision trail.
+/// `--perf-report=<path>` flag, and the one run-level JSON document: the
+/// execution stats (the same computeStats numbers as the `--stats` prose
+/// report), the timeline attribution (critical path, slack, lane
+/// utilization, per-channel phase cycles), the search's decision trail,
+/// and the counter and metric registries.
 /// `renderPerfReportText` renders a parsed report for humans (`pimflow
 /// report`), and `perfDiff` compares two reports (or two bench-results
 /// dumps) with per-metric relative thresholds — the regression gate behind
-/// `pf_perf_diff` and ci.sh tier 5.
+/// `pf_check diff` and ci.sh tier 5.
 ///
 /// Schema (version 2, lower-is-better metrics unless noted):
 ///   { schema_version, kind: "pimflow-perf-report", model, policy,
@@ -75,8 +77,13 @@ namespace pf::obs {
 /// Current report schema version.
 inline constexpr int PerfReportSchemaVersion = 4;
 
-/// Renders the full performance report of \p R as JSON.
-std::string renderPerfReport(const CompileResult &R);
+/// Renders the full performance report of \p R as JSON from its stats
+/// \p S (computeStats) and attribution \p A (attributeTimeline). Both
+/// passes re-plan PIM kernels and so bump codegen/simulator counters; the
+/// caller runs each once per run and shares them with every consumer, so
+/// the `counters` section does not depend on which exports were asked for.
+std::string renderPerfReport(const CompileResult &R, const ExecutionStats &S,
+                             const AttributionReport &A);
 
 /// Emits the shared `counters` and `metrics` report sections (snapshotted
 /// from the active observability scope, name-sorted for byte-stable
@@ -84,9 +91,6 @@ std::string renderPerfReport(const CompileResult &R);
 /// Used by renderPerfReport and by the serve report so both document
 /// kinds stay field-compatible.
 void emitObsSections(JsonWriter &W);
-
-/// Writes renderPerfReport(R) to \p Path; false on I/O failure.
-bool writePerfReport(const CompileResult &R, const std::string &Path);
 
 /// Renders a parsed report document as human-readable text (summary lines
 /// plus critical-path / lane-utilization / phase / metric / decision

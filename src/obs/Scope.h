@@ -38,7 +38,7 @@
 
 namespace pf::obs {
 
-/// A private observability namespace: one counter/histogram registry plus
+/// A private observability namespace: one counter registry plus
 /// one streaming-metrics registry, constructed enabled (a scope exists to
 /// collect; the global on/off switch only governs the global registries).
 /// Scopes are cheap enough to create per request and must outlive any

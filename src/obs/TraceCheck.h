@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Semantic validation of Chrome trace-event documents, shared by the
-/// pf_json_check and pf_trace_check CTest/CI tools. Beyond per-event
+/// Semantic validation of Chrome trace-event documents, behind the
+/// `pf_check chrome` and `pf_check trace` CTest/CI checks. Beyond per-event
 /// field presence (string `ph`, numeric `pid`/`tid`, a non-negative `ts`
 /// on every non-metadata event, non-negative `dur`), checkChromeTrace
 /// enforces the span algebra the exporters promise:

@@ -142,8 +142,6 @@ double Profiler::measure(const std::string &Key,
 
   Misses.fetch_add(1, std::memory_order_relaxed);
   obs::addCounter("profiler.cache_misses");
-  const bool Observed = obs::activeRegistry().enabled();
-  const double StartUs = Observed ? obs::Tracer::instance().nowUs() : 0.0;
   double Ns;
   try {
     PF_TRACE_SCOPE_CAT("profiler.measure", "profile");
@@ -158,12 +156,9 @@ double Profiler::measure(const std::string &Key,
     E->Done.set_exception(std::current_exception());
     throw;
   }
-  if (Observed)
-    obs::recordHistogram("profiler.measure_wall_us",
-                         obs::Tracer::instance().nowUs() - StartUs);
   // Per-candidate profile latency in *simulated* nanoseconds: the
   // deterministic tail-latency distribution the bench baselines gate on
-  // (wall time stays in the plain histogram above). Failed pipeline
+  // (wall time is the `profiler.measure` span above). Failed pipeline
   // probes return a negative sentinel and are not latencies.
   if (Ns >= 0.0)
     obs::recordMetricWindowed("profiler.profile_sim_ns",

@@ -13,6 +13,7 @@
 
 #include "ir/Verifier.h"
 #include "obs/Counters.h"
+#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/ThreadPool.h"
 #include "transform/MdDpSplitPass.h"
@@ -312,10 +313,9 @@ ExecutionPlan SearchEngine::search(const Graph &G) {
   Plan.PredictedNs = Best[0];
   obs::addCounter("search.segments",
                   static_cast<int64_t>(Plan.Segments.size()));
-  if (obs::activeRegistry().enabled())
+  if (obs::activeMetrics().enabled())
     for (const SegmentPlan &S : Plan.Segments)
-      obs::recordHistogram("search.segment_predicted_us",
-                           S.PredictedNs / 1e3);
+      obs::recordMetric("search.segment_predicted_us", S.PredictedNs / 1e3);
   return Plan;
 }
 

@@ -204,7 +204,7 @@ struct ServeResult {
 std::string renderServeSummary(const ServeResult &R);
 
 /// Renders the bench-format results dump (`{"results": [...]}`) with the
-/// pf_perf_diff-gated request-latency rows (serve/latency_p50 etc.) —
+/// `pf_check diff`-gated request-latency rows (serve/latency_p50 etc.) —
 /// the ci.sh tier-8 regression gate against bench/baselines/BENCH_serve.json.
 std::string renderServeBenchJson(const ServeResult &R);
 

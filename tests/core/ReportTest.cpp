@@ -10,7 +10,8 @@
 
 #include "models/Zoo.h"
 #include "obs/Json.h"
-#include "obs/StatsExport.h"
+#include "obs/Attribution.h"
+#include "obs/PerfReport.h"
 
 using namespace pf;
 
@@ -56,7 +57,7 @@ TEST(ReportTest, BusyFractionsBounded) {
 
 TEST(ReportTest, RenderedReportHasSections) {
   CompileResult R = PimFlow(OffloadPolicy::PimFlow).compileAndRun(buildToy());
-  const std::string Text = renderReport(R);
+  const std::string Text = renderReport(R, computeStats(R));
   EXPECT_NE(Text.find("PIMFlow report"), std::string::npos);
   EXPECT_NE(Text.find("segments:"), std::string::npos);
   EXPECT_NE(Text.find("COMP columns"), std::string::npos);
@@ -73,11 +74,12 @@ TEST(ReportTest, WeightPlacementSplitsByDevice) {
   EXPECT_GT(S.GpuWeightBytes, 10'000'000); // Conv weights stay.
 }
 
-TEST(ReportTest, JsonStatsRoundTripMatchesComputeStats) {
+TEST(ReportTest, PerfReportStatsMatchComputeStats) {
   CompileResult R = PimFlow(OffloadPolicy::PimFlow).compileAndRun(buildToy());
   const ExecutionStats S = computeStats(R);
 
-  const auto Doc = obs::JsonValue::parse(obs::renderStatsJson(R, S));
+  const auto Doc = obs::JsonValue::parse(obs::renderPerfReport(
+      R, S, obs::attributeTimeline(R.Transformed, R.Schedule, R.Config)));
   ASSERT_TRUE(Doc.has_value());
   EXPECT_EQ(Doc->find("model")->Str, R.Transformed.name());
   EXPECT_EQ(Doc->find("policy")->Str, policyName(R.Policy));
@@ -86,7 +88,8 @@ TEST(ReportTest, JsonStatsRoundTripMatchesComputeStats) {
   const obs::JsonValue *J = Doc->find("stats");
   ASSERT_NE(J, nullptr);
   // Every command total must match the prose report's source of truth
-  // exactly (renderStatsJson and renderReport both serialize computeStats).
+  // exactly (renderPerfReport and renderReport both serialize
+  // computeStats).
   EXPECT_EQ(J->numberOr("gpu_kernels", -1), S.GpuKernels);
   EXPECT_EQ(J->numberOr("pim_kernels", -1), S.PimKernels);
   EXPECT_EQ(J->numberOr("fused_or_free_nodes", -1), S.FusedOrFreeNodes);

@@ -6,6 +6,8 @@
 
 #include "obs/Attribution.h"
 
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "core/PimFlow.h"
@@ -372,26 +374,62 @@ TEST(AttributionTest, DecisionsCoverPlanSegments) {
   }
 }
 
-// The JSON report reproduces the attribution invariants after a parse
-// round-trip (what pf_perf_diff and `pimflow report` consume).
+namespace {
+
+/// Renders \p R's perf report from its own stats and attribution passes,
+/// and parses it back.
+std::optional<JsonValue> renderAndParse(const CompileResult &R) {
+  const std::string Json = renderPerfReport(
+      R, computeStats(R),
+      attributeTimeline(R.Transformed, R.Schedule, R.Config));
+  std::string Error;
+  auto Doc = JsonValue::parse(Json, &Error);
+  EXPECT_TRUE(Doc.has_value()) << Error;
+  return Doc;
+}
+
+} // namespace
+
+// The JSON report reproduces the CompileResult's numbers and the
+// attribution invariants after a parse round-trip (what `pf_check diff`
+// and `pimflow report` consume).
 TEST(AttributionTest, PerfReportRoundTrip) {
   PimFlow Flow(OffloadPolicy::PimFlow);
   const CompileResult R = Flow.compileAndRun(buildToy());
-  const std::string Json = renderPerfReport(R);
-
-  std::string Error;
-  const auto Doc = JsonValue::parse(Json, &Error);
-  ASSERT_TRUE(Doc.has_value()) << Error;
+  const auto Doc = renderAndParse(R);
+  ASSERT_TRUE(Doc.has_value());
   EXPECT_EQ(Doc->numberOr("schema_version", 0.0), PerfReportSchemaVersion);
   ASSERT_NE(Doc->find("kind"), nullptr);
   EXPECT_EQ(Doc->find("kind")->Str, "pimflow-perf-report");
-  EXPECT_NEAR(Doc->numberOr("end_to_end_ns", -1.0), R.endToEndNs(),
-              1e-6 * R.endToEndNs());
+  ASSERT_NE(Doc->find("model"), nullptr);
+  EXPECT_EQ(Doc->find("model")->Str, R.Transformed.name());
+  ASSERT_NE(Doc->find("policy"), nullptr);
+  EXPECT_EQ(Doc->find("policy")->Str, policyName(R.Policy));
+  EXPECT_DOUBLE_EQ(Doc->numberOr("end_to_end_ns", -1.0), R.endToEndNs());
+  EXPECT_DOUBLE_EQ(Doc->numberOr("energy_j", -1.0), R.energyJ());
+  EXPECT_DOUBLE_EQ(Doc->numberOr("conv_layer_ns", -1.0), R.ConvLayerNs);
+  EXPECT_DOUBLE_EQ(Doc->numberOr("fc_layer_ns", -1.0), R.FcLayerNs);
 
   const JsonValue *Critical = Doc->find("critical_path");
   const JsonValue *Tl = Doc->find("timeline");
   ASSERT_NE(Critical, nullptr);
   ASSERT_NE(Tl, nullptr);
+  EXPECT_DOUBLE_EQ(Tl->numberOr("total_ns", -1.0), R.Schedule.TotalNs);
+  EXPECT_DOUBLE_EQ(Tl->numberOr("gpu_busy_ns", -1.0), R.Schedule.GpuBusyNs);
+  EXPECT_DOUBLE_EQ(Tl->numberOr("pim_busy_ns", -1.0), R.Schedule.PimBusyNs);
+  EXPECT_DOUBLE_EQ(Tl->numberOr("energy_j", -1.0), R.Schedule.EnergyJ);
+
+  // The segment census counts every planned segment exactly once.
+  const JsonValue *Segments = Doc->find("segments");
+  ASSERT_NE(Segments, nullptr);
+  const double Census = Segments->numberOr("gpu", 0) +
+                        Segments->numberOr("pim", 0) +
+                        Segments->numberOr("md_dp", 0) +
+                        Segments->numberOr("pipeline", 0);
+  EXPECT_DOUBLE_EQ(Census, static_cast<double>(R.Plan.Segments.size()));
+  ASSERT_NE(Doc->find("stats"), nullptr);
+  ASSERT_NE(Doc->find("counters"), nullptr);
+  EXPECT_TRUE(Doc->find("counters")->isObject());
   // Acceptance invariant: critical-path length == timeline makespan.
   EXPECT_NEAR(Critical->numberOr("length_ns", -1.0),
               Tl->numberOr("total_ns", -2.0), 1e-6 * R.endToEndNs());
@@ -420,6 +458,29 @@ TEST(AttributionTest, PerfReportRoundTrip) {
   EXPECT_NE(Text.find("critical path"), std::string::npos);
   EXPECT_NE(Text.find("lane"), std::string::npos);
   EXPECT_NE(Text.find("decision"), std::string::npos);
+}
+
+// A fault-free run reports no recovery section; a faulted one does, and
+// the numbers survive the round-trip.
+TEST(AttributionTest, PerfReportRecoverySectionOnlyWhenActive) {
+  PimFlow Clean(OffloadPolicy::PimFlow);
+  const auto CleanDoc = renderAndParse(Clean.compileAndRun(buildToy()));
+  ASSERT_TRUE(CleanDoc.has_value());
+  EXPECT_EQ(CleanDoc->find("recovery"), nullptr);
+
+  PimFlowOptions Options;
+  Options.FaultSpec = "dead:0";
+  PimFlow Faulted(OffloadPolicy::PimFlow, Options);
+  const CompileResult RF = Faulted.compileAndRun(buildToy());
+  ASSERT_TRUE(RF.Recovery.Active);
+  const auto Doc = renderAndParse(RF);
+  ASSERT_TRUE(Doc.has_value());
+  const JsonValue *Rec = Doc->find("recovery");
+  ASSERT_NE(Rec, nullptr);
+  EXPECT_DOUBLE_EQ(Rec->numberOr("dead_channels", -1.0),
+                   RF.Recovery.DeadChannels);
+  EXPECT_DOUBLE_EQ(Rec->numberOr("surviving_channels", -1.0),
+                   RF.Recovery.SurvivingChannels);
 }
 
 namespace {

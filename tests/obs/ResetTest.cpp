@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 //
 // Asserts the obs::resetAll() contract documented in obs/Counters.h: one
-// call clears every *global* registry — Tracer spans, Registry counters
-// and histograms, MetricsRegistry histograms/gauges/windows plus the
+// call clears every *global* registry — Tracer spans, Registry counters,
+// MetricsRegistry histograms/gauges/windows plus the
 // sim-cycle clock, and the FlightRecorder rings — and touches nothing
 // else. In particular a session Scope's registries survive a global
 // sweep: they belong to the scope's owner and are reset only through
@@ -44,7 +44,6 @@ protected:
 void populateGlobals() {
   Tracer::instance().record("reset.span", "test", 0.0, 1.0);
   addCounter("reset.counter", 3);
-  recordHistogram("reset.histogram", 2.0);
   recordMetric("reset.metric", 4.0);
   setGauge("reset.gauge", 5.0);
   recordMetricWindowed("reset.window", TickDomain::SimCycles, 16, 8, 6.0);
@@ -59,7 +58,6 @@ TEST_F(ResetTest, ResetAllClearsEveryGlobalRegistry) {
   // emptiness checks below).
   EXPECT_GT(Tracer::instance().numEvents(), 0u);
   EXPECT_FALSE(Registry::instance().counterSnapshot().empty());
-  EXPECT_FALSE(Registry::instance().histogramSnapshot().empty());
   EXPECT_FALSE(MetricsRegistry::instance().histogramSnapshot().empty());
   EXPECT_FALSE(MetricsRegistry::instance().gaugeSnapshot().empty());
   EXPECT_FALSE(MetricsRegistry::instance().windowSnapshot().empty());
@@ -70,7 +68,6 @@ TEST_F(ResetTest, ResetAllClearsEveryGlobalRegistry) {
 
   EXPECT_EQ(Tracer::instance().numEvents(), 0u);
   EXPECT_TRUE(Registry::instance().counterSnapshot().empty());
-  EXPECT_TRUE(Registry::instance().histogramSnapshot().empty());
   EXPECT_TRUE(MetricsRegistry::instance().histogramSnapshot().empty());
   EXPECT_TRUE(MetricsRegistry::instance().gaugeSnapshot().empty());
   EXPECT_TRUE(MetricsRegistry::instance().windowSnapshot().empty());

@@ -4,8 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// checkChromeTrace (obs/TraceCheck.h) is the gate behind pf_json_check
-// --chrome and pf_trace_check, so its rejections matter as much as its
+// checkChromeTrace (obs/TraceCheck.h) is the gate behind `pf_check chrome`
+// and `pf_check trace`, so its rejections matter as much as its
 // acceptances: unbalanced or misnamed B/E spans, unresolved flow ids, and
 // the original field-presence rules must all fail with an indexed error.
 //

@@ -20,10 +20,10 @@
 #   5. The perf smoke tier: regenerate the bench JSON dumps (toy +
 #      resnet-18, deterministic simulated metrics only) and perf reports,
 #      then gate them against the checked-in bench/baselines/ with
-#      pf_perf_diff at a generous ±25% threshold, and prove the gate
+#      `pf_check diff` at its generous ±25% threshold, and prove the gate
 #      itself trips on a perturbed report.
 #   6. The telemetry tier: a faulted chaos-seed run exporting the
-#      Prometheus metrics exposition (validated by pf_metrics_check, with
+#      Prometheus metrics exposition (validated by `pf_check metrics`, with
 #      quantile histograms required) and a flight-recorder dump (asserted
 #      non-empty and carrying the recovery ladder's events), then an
 #      unrecovered-fault run (--no-recovery) proving the auto-dump fires
@@ -37,8 +37,8 @@
 #      summary must be byte-identical across --jobs values AND match the
 #      committed golden (outcomes are decided in virtual time, never by
 #      worker races), with the request-latency p50/p99 rows gated against
-#      bench/baselines/BENCH_serve.json by pf_perf_diff and the serve.*
-#      metrics exposition validated by pf_metrics_check.
+#      bench/baselines/BENCH_serve.json by `pf_check diff` and the serve.*
+#      metrics exposition validated by `pf_check metrics`.
 #   9. The chaos-under-serve tier: the seeded (load spec x fault timeline)
 #      matrix in tests/serve_chaos/ (conservation, quarantine exclusion,
 #      breaker lifecycle), then a CLI run with mid-stream channel outages,
@@ -53,7 +53,7 @@
 #      UBSan findings are fatal).
 #  11. The request-tracing tier: a 200-request chaos serve run with
 #      --trace-out + --trace-sample=tail whose Chrome trace must be
-#      byte-identical across --jobs values, pf_trace_check-clean (span
+#      byte-identical across --jobs values, `pf_check trace`-clean (span
 #      nesting, flow resolution, one root per lane), and must carry shed,
 #      deadline-missed, fault, and breaker events; then `pimflow report
 #      --request=` on a deadline-missed id must render its segment
@@ -61,6 +61,9 @@
 #  12. The Release tree: build-release/ with CMAKE_BUILD_TYPE=Release (-O3,
 #      whose deeper optimizer analysis reports warnings -O2 does not), still
 #      under -Werror, running the full test suite.
+#  13. The Debug tree: build-debug/ with CMAKE_BUILD_TYPE=Debug (-O0, the
+#      assertions-on build a developer steps through), still under -Werror,
+#      running the full test suite.
 #
 # Usage: tools/ci.sh [jobs]   (jobs defaults to nproc)
 #===----------------------------------------------------------------------===#
@@ -102,23 +105,21 @@ PIMFLOW_BENCH_JSON="$PERF_DIR/BENCH_fig10_layerwise.json" \
 PIMFLOW_BENCH_JSON="$PERF_DIR/BENCH_micro.json" \
   ./build/bench/bench_micro --no-wall > /dev/null
 for B in BENCH_fig09_main BENCH_fig10_layerwise BENCH_micro; do
-  ./build/tools/pf_perf_diff --threshold=0.25 \
-    "bench/baselines/$B.json" "$PERF_DIR/$B.json"
+  ./build/tools/pf_check diff "bench/baselines/$B.json" "$PERF_DIR/$B.json"
 done
 for NET in toy resnet-18; do
   ./build/tools/pimflow -m=run -n="$NET" --dir="$PERF_DIR" \
     --perf-report="$PERF_DIR/$NET.perf.json" > /dev/null
   # A report never regresses against itself...
-  ./build/tools/pf_perf_diff --threshold=0.25 \
-    "$PERF_DIR/$NET.perf.json" "$PERF_DIR/$NET.perf.json" > /dev/null
+  ./build/tools/pf_check diff "$PERF_DIR/$NET.perf.json" \
+    "$PERF_DIR/$NET.perf.json" > /dev/null
 done
 # ...and the gate must actually trip on a >threshold perturbation.
 sed 's/"end_to_end_ns":/"end_to_end_ns":9e99, "was_end_to_end_ns":/' \
   "$PERF_DIR/toy.perf.json" > "$PERF_DIR/toy.perf.perturbed.json"
-if ./build/tools/pf_perf_diff --threshold=0.25 \
-  "$PERF_DIR/toy.perf.json" "$PERF_DIR/toy.perf.perturbed.json" \
-  > /dev/null; then
-  echo "error: pf_perf_diff did not flag a perturbed report" >&2
+if ./build/tools/pf_check diff "$PERF_DIR/toy.perf.json" \
+  "$PERF_DIR/toy.perf.perturbed.json" > /dev/null; then
+  echo "error: pf_check diff did not flag a perturbed report" >&2
   exit 1
 fi
 
@@ -131,9 +132,9 @@ mkdir -p "$TEL_DIR"
   --metrics-out="$TEL_DIR/toy.metrics.txt" \
   --flight-dump="$TEL_DIR/toy.flight.txt" \
   --perf-report="$TEL_DIR/toy.telemetry.perf.json" > /dev/null
-./build/tools/pf_metrics_check --min-quantile-metrics=3 \
+./build/tools/pf_check metrics --min-quantile-metrics=3 \
   "$TEL_DIR/toy.metrics.txt"
-./build/tools/pf_json_check "$TEL_DIR/toy.telemetry.perf.json" > /dev/null
+./build/tools/pf_check json "$TEL_DIR/toy.telemetry.perf.json" > /dev/null
 ./build/tools/pimflow report --metrics \
   "$TEL_DIR/toy.telemetry.perf.json" > /dev/null
 if ! [ -s "$TEL_DIR/toy.flight.txt" ]; then
@@ -170,7 +171,7 @@ mkdir -p "$PLAN_DIR"
 # golden byte for byte.
 ./build/tools/pimflow compile toy --dir="$PLAN_DIR" \
   --plan-out="$PLAN_DIR/toy.plan" > /dev/null
-./build/tools/pf_plan_check "$PLAN_DIR/toy.plan" > /dev/null
+./build/tools/pf_check plan "$PLAN_DIR/toy.plan" > /dev/null
 cmp "$PLAN_DIR/toy.plan" tools/testdata/toy.plan
 # Replay determinism: the replayed run's execution line is byte-identical
 # to a fresh compile-and-run of the same model.
@@ -246,13 +247,13 @@ grep -q 'outcome=served'   "$SERVE_DIR/serve.j1.txt"
 grep -q 'outcome=degraded' "$SERVE_DIR/serve.j1.txt"
 grep -q 'outcome=floor'    "$SERVE_DIR/serve.j1.txt"
 # Request-latency regression gate over the serve/latency_p50|p99 rows.
-./build/tools/pf_perf_diff --threshold=0.25 \
+./build/tools/pf_check diff \
   bench/baselines/BENCH_serve.json "$SERVE_DIR/BENCH_serve.json"
 # The serve report is valid schema-v3 JSON of the serve kind.
-./build/tools/pf_json_check "$SERVE_DIR/serve.perf.json" > /dev/null
+./build/tools/pf_check json "$SERVE_DIR/serve.perf.json" > /dev/null
 grep -q '"kind":"pimflow-serve-report"' "$SERVE_DIR/serve.perf.json"
 # And the serve.* families made it into the Prometheus exposition.
-./build/tools/pf_metrics_check --min-quantile-metrics=3 \
+./build/tools/pf_check metrics --min-quantile-metrics=3 \
   "$SERVE_DIR/serve.metrics.txt"
 grep -q '^pimflow_serve_requests 24' "$SERVE_DIR/serve.metrics.txt"
 
@@ -291,12 +292,12 @@ grep -qE 'readmits=[1-9]' "$CHAOS_DIR/chaos.j1.txt"
 grep -q 'shed_reasons: ' "$CHAOS_DIR/chaos.j1.txt"
 grep -q 'floor_reasons: ' "$CHAOS_DIR/chaos.j1.txt"
 # Breaker counters reach the Prometheus exposition and the serve report.
-./build/tools/pf_metrics_check --min-quantile-metrics=3 \
+./build/tools/pf_check metrics --min-quantile-metrics=3 \
   "$CHAOS_DIR/chaos.metrics.txt"
 grep -qE '^pimflow_serve_breaker_trips [1-9]' "$CHAOS_DIR/chaos.metrics.txt"
 grep -qE '^pimflow_serve_fault_interrupts [1-9]' \
   "$CHAOS_DIR/chaos.metrics.txt"
-./build/tools/pf_json_check "$CHAOS_DIR/chaos.perf.json" > /dev/null
+./build/tools/pf_check json "$CHAOS_DIR/chaos.perf.json" > /dev/null
 grep -qE '"breaker_trips":[1-9]' "$CHAOS_DIR/chaos.perf.json"
 # A tight deadline under burst load: queued expiries shed before they run,
 # late completions classify as missed, and on-time ones still count met.
@@ -347,9 +348,9 @@ TRACE_FAULTS='dead@200..700:0,dead@900..1600:0'
   --trace-sample=tail --trace-out="$TRACE_DIR/trace.j4.json" > /dev/null
 cmp "$TRACE_DIR/trace.j1.json" "$TRACE_DIR/trace.j4.json"
 # Structural validity: Chrome field rules, balanced span nesting, resolved
-# flow ids, exactly one root span per request lane.
-./build/tools/pf_json_check --chrome "$TRACE_DIR/trace.j1.json" > /dev/null
-./build/tools/pf_trace_check --min-requests=100 "$TRACE_DIR/trace.j1.json"
+# flow ids (the trace kind runs every chrome check first), exactly one root
+# span per request lane.
+./build/tools/pf_check trace --min-requests=100 "$TRACE_DIR/trace.j1.json"
 # The tail classes are all present in the sampled trace: shed instants,
 # deadline-missed roots, fault interrupts, and breaker lifecycle events.
 grep -q '"cat":"serve.shed"'    "$TRACE_DIR/trace.j1.json"
@@ -378,5 +379,10 @@ echo "== tier 12: Release tree — -O3 build under -Werror + full suite =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j "$JOBS"
 ctest --test-dir build-release --output-on-failure -j "$JOBS"
+
+echo "== tier 13: Debug tree — -O0 build under -Werror + full suite =="
+cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug
+cmake --build build-debug -j "$JOBS"
+ctest --test-dir build-debug --output-on-failure -j "$JOBS"
 
 echo "== ci.sh: all passes green =="

@@ -68,7 +68,6 @@
 #include "obs/Json.h"
 #include "obs/Metrics.h"
 #include "obs/PerfReport.h"
-#include "obs/StatsExport.h"
 #include "obs/Trace.h"
 #include "serve/LoadGen.h"
 #include "serve/ServeReport.h"
@@ -93,8 +92,7 @@ struct CliOptions {
   std::string Policy = "PIMFlow";
   std::string GraphFile; // -m=run --graph=<file>: skip search, execute.
   std::string TraceOut;  // --trace-out=<file>: Chrome trace-event JSON.
-  std::string JsonStats; // --json-stats=<file>: machine-readable report.
-  std::string PerfReport; // --perf-report=<file>: attribution report JSON.
+  std::string PerfReport; // --perf-report=<file>: run-level report JSON.
   std::string ReportFile; // `pimflow report <file>`: report to render.
   std::string MetricsOut; // --metrics-out=<file>: Prometheus exposition.
   std::string FlightDump; // --flight-dump=<file>: flight-recorder dump.
@@ -128,8 +126,7 @@ struct CliOptions {
   }
 
   bool observed() const {
-    return !TraceOut.empty() || !JsonStats.empty() || !PerfReport.empty() ||
-           !MetricsOut.empty();
+    return !TraceOut.empty() || !PerfReport.empty() || !MetricsOut.empty();
   }
 };
 
@@ -167,8 +164,8 @@ void usage() {
       "               [--verify] [--differential] [--max-errors=N]\n"
       "               [--faults=<spec|chaos>] [--fault-seed=N] "
       "[--max-retries=N] [--pim-floor=N] [--no-recovery]\n"
-      "               [--trace-out=<file>] [--json-stats=<file>] "
-      "[--perf-report=<file>] [-v|-vv]\n"
+      "               [--trace-out=<file>] [--perf-report=<file>] "
+      "[-v|-vv]\n"
       "               [--metrics-out=<file>] [--flight-dump=<file>]\n"
       "nets: efficientnet-v1-b0 mobilenet-v2 mnasnet-1.0 resnet-50 vgg-16 "
       "bert toy\n"
@@ -227,8 +224,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
       O.GraphFile = Val();
     else if (startsWith(Arg, "--trace-out="))
       O.TraceOut = Val();
-    else if (startsWith(Arg, "--json-stats="))
-      O.JsonStats = Val();
     else if (startsWith(Arg, "--perf-report="))
       O.PerfReport = Val();
     else if (startsWith(Arg, "--metrics-out="))
@@ -353,28 +348,18 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
              "--trace-sample) require the serve verb");
     Ok = false;
   }
-  if (O.Mode == "serve" && !O.JsonStats.empty()) {
-    // Silently ignored until the flag combinations were made hard errors;
-    // serve's machine-readable export is --perf-report.
-    DE.error(DiagCode::BadOption, "--json-stats",
-             "applies to single runs; serve exports --perf-report instead");
-    Ok = false;
-  }
-  if (O.Mode == "compile" &&
-      (!O.TraceOut.empty() || !O.JsonStats.empty() ||
-       !O.PerfReport.empty())) {
+  if (O.Mode == "compile" && (!O.TraceOut.empty() || !O.PerfReport.empty())) {
     DE.error(DiagCode::BadOption, "compile",
-             "runs no execution, so --trace-out/--json-stats/--perf-report "
-             "have nothing to export (use run, or serve for request "
-             "traces)");
+             "runs no execution, so --trace-out/--perf-report have nothing "
+             "to export (use run, or serve for request traces)");
     Ok = false;
   }
   if (O.Mode == "report" &&
       (O.observed() || !O.FlightDump.empty())) {
     DE.error(DiagCode::BadOption, "report",
              "renders an existing document; output flags (--trace-out/"
-             "--json-stats/--perf-report/--metrics-out/--flight-dump) are "
-             "meaningless here");
+             "--perf-report/--metrics-out/--flight-dump) are meaningless "
+             "here");
     Ok = false;
   }
   if (O.ReportRequest >= 0 && O.Mode != "report") {
@@ -465,36 +450,47 @@ std::optional<Graph> resolveModel(const std::string &NameOrPath) {
   return std::nullopt;
 }
 
-/// Writes --json-stats and --trace-out for a finished compile. Stats go
-/// first: rendering the Chrome trace re-plans the offloaded kernels, which
-/// bumps codegen counters that would otherwise leak into the stats dump.
+/// Prints --stats and writes --perf-report, --metrics-out and --trace-out
+/// for a finished run. The stats and attribution passes re-plan the
+/// offloaded kernels (bumping codegen and simulator counters), so each
+/// runs exactly once per observed run, whatever was asked for, and the
+/// phase counters are exported once: the counters a run reports never
+/// depend on its flags. The Chrome trace re-plans too, so it is rendered
+/// after every export that carries counters.
 int exportObservability(const CliOptions &O, const CompileResult &R) {
-  // In-run anomaly watchdog: with telemetry collected, check tail-latency
-  // ratios, lane idle gaps and retry rates before anything is exported, so
-  // the warnings land next to the run they describe.
-  if (obs::MetricsRegistry::instance().enabled() &&
-      !R.Schedule.Nodes.empty()) {
+  if (!O.Stats && !O.observed())
+    return 0;
+  const ExecutionStats S = computeStats(R);
+  if (O.Stats)
+    std::printf("\n%s", renderReport(R, S).c_str());
+  if (!O.observed())
+    return 0;
+  const obs::AttributionReport A =
+      obs::attributeTimeline(R.Transformed, R.Schedule, R.Config);
+  obs::exportPhaseCounters(A.Phases);
+  // In-run anomaly watchdog: check tail-latency ratios, lane idle gaps and
+  // retry rates before anything is exported, so the warnings land next to
+  // the run they describe.
+  if (!R.Schedule.Nodes.empty()) {
     DiagnosticEngine ADE;
-    const obs::AttributionReport A =
-        obs::attributeTimeline(R.Transformed, R.Schedule, R.Config);
     if (obs::evaluateAnomalies(ADE, &A) > 0)
       std::fprintf(stderr, "%s", ADE.render().c_str());
   }
-  if (!O.JsonStats.empty()) {
-    if (!obs::writeStatsJson(R, O.JsonStats)) {
-      std::fprintf(stderr, "error: cannot write %s\n", O.JsonStats.c_str());
-      return 1;
-    }
-    std::printf("JSON stats written to %s\n", O.JsonStats.c_str());
-  }
   if (!O.PerfReport.empty()) {
-    if (!obs::writePerfReport(R, O.PerfReport)) {
+    if (!obs::writeTextFile(O.PerfReport, obs::renderPerfReport(R, S, A))) {
       std::fprintf(stderr, "error: cannot write %s\n", O.PerfReport.c_str());
       return 1;
     }
     std::printf("perf report written to %s (render with `pimflow report "
                 "%s`)\n",
                 O.PerfReport.c_str(), O.PerfReport.c_str());
+  }
+  if (!O.MetricsOut.empty()) {
+    if (!obs::writeMetricsText(O.MetricsOut)) {
+      std::fprintf(stderr, "error: cannot write %s\n", O.MetricsOut.c_str());
+      return 1;
+    }
+    std::printf("metrics exposition written to %s\n", O.MetricsOut.c_str());
   }
   if (!O.TraceOut.empty()) {
     if (!obs::writeChromeTrace(R, O.TraceOut)) {
@@ -504,13 +500,6 @@ int exportObservability(const CliOptions &O, const CompileResult &R) {
     std::printf("Chrome trace written to %s (load in chrome://tracing or "
                 "ui.perfetto.dev)\n",
                 O.TraceOut.c_str());
-  }
-  if (!O.MetricsOut.empty()) {
-    if (!obs::writeMetricsText(O.MetricsOut)) {
-      std::fprintf(stderr, "error: cannot write %s\n", O.MetricsOut.c_str());
-      return 1;
-    }
-    std::printf("metrics exposition written to %s\n", O.MetricsOut.c_str());
   }
   return 0;
 }
@@ -708,9 +697,7 @@ int runExecuteGraphFile(const CliOptions &O) {
   std::printf("device busy: GPU %.1f us, PIM %.1f us\n",
               R.Schedule.GpuBusyNs / 1e3, R.Schedule.PimBusyNs / 1e3);
   printRecovery(R.Recovery);
-  if (O.observed())
-    return exportObservability(O, R);
-  return 0;
+  return exportObservability(O, R);
 }
 
 /// `pimflow compile <net> --plan-out=<file>`: run the search, serialize
@@ -794,8 +781,6 @@ int runReplay(const CliOptions &O) {
               R.energyJ() * 1e6);
   std::printf("replayed plan %s (search skipped)\n", O.PlanIn.c_str());
   printRecovery(R.Recovery);
-  if (O.Stats)
-    std::printf("\n%s", renderReport(R).c_str());
   return exportObservability(O, R);
 }
 
@@ -820,8 +805,6 @@ int runExecute(const CliOptions &O) {
               policyName(Policy), O.Net.c_str(), R.endToEndNs() / 1e3,
               R.energyJ() * 1e6);
   printRecovery(R.Recovery);
-  if (O.Stats)
-    std::printf("\n%s", renderReport(R).c_str());
   // Export before the baseline comparison below: its second compileAndRun
   // would append spans and counters that belong to the baseline, not to the
   // run being reported.
