@@ -26,7 +26,7 @@ const char *pf::granularityName(ScheduleGranularity G) {
   pf_unreachable("unknown granularity");
 }
 
-std::string PimKernelPlan::describeMapping() const {
+std::string PimMapping::describeMapping() const {
   return formatStr("m%d.v%d.k%d@%s", ChannelsForM, ChannelsForV,
                    ChannelsForK, granularityName(Granularity));
 }
@@ -173,18 +173,17 @@ PimCommandGenerator::planWithMapping(const PimKernelSpec &Spec,
         PimCommand::readRes(B * ceilDiv(RowsPerPart, ElemsPerComp)));
 
   PimKernelPlan Plan;
-  const int UsedChannels = ChannelsForM * ChannelsForV * ChannelsForK;
+  Plan.ChannelsForM = ChannelsForM;
+  Plan.ChannelsForV = ChannelsForV;
+  Plan.ChannelsForK = ChannelsForK;
   Plan.Trace = DeviceTrace(Config.Channels);
-  for (int C = 0; C < UsedChannels; ++C)
+  for (int C = 0; C < Plan.channels(); ++C)
     Plan.Trace.Channels[static_cast<size_t>(C)].Blocks.push_back(
         CommandBlock{Pattern, PassesPerPart});
 
   Plan.Stats = Sim.run(Plan.Trace);
   Plan.Ns = Plan.Stats.Ns;
   Plan.EffectiveMacs = Spec.totalMacs();
-  Plan.ChannelsForM = ChannelsForM;
-  Plan.ChannelsForV = ChannelsForV;
-  Plan.ChannelsForK = ChannelsForK;
 
   // Partial sums — from COMP-granularity K-splits across channels and from
   // latch-pressure per-tile drains — are merged by a lightweight

@@ -59,22 +59,30 @@ struct CodegenOptions {
   bool StridedGwrite = true;
 };
 
-/// A generated PIM kernel: the traces, their simulated timing, and the
-/// mapping the scheduler chose.
-struct PimKernelPlan {
+/// A channel partitioning the command-scheduling pass chose: (M-partitions,
+/// vector-partitions, K-partitions) at a granularity. The kernel's traces
+/// occupy exactly channels [0, channels()).
+struct PimMapping {
+  int ChannelsForM = 1;
+  int ChannelsForV = 1;
+  int ChannelsForK = 1;
+  ScheduleGranularity Granularity = ScheduleGranularity::GAct;
+
+  int channels() const { return ChannelsForM * ChannelsForV * ChannelsForK; }
+
+  /// "m<M>.v<V>.k<K>@<granularity>".
+  std::string describeMapping() const;
+};
+
+/// A generated PIM kernel: the mapping the scheduler chose, its traces,
+/// and their simulated timing.
+struct PimKernelPlan : PimMapping {
   DeviceTrace Trace{0};
   PimRunStats Stats;
   /// Simulated kernel latency in nanoseconds.
   double Ns = 0.0;
   /// Useful MACs (for the energy model).
   int64_t EffectiveMacs = 0;
-  /// Chosen (M-partitions, vector-partitions, K-partitions) mapping.
-  int ChannelsForM = 1;
-  int ChannelsForV = 1;
-  int ChannelsForK = 1;
-  ScheduleGranularity Granularity = ScheduleGranularity::GAct;
-
-  std::string describeMapping() const;
 };
 
 /// Generates and schedules PIM command traces for lowered kernels.

@@ -211,6 +211,55 @@ Graph PimFlow::materialize(const Graph &Model, const ExecutionPlan &Plan) {
   return G;
 }
 
+FaultExecStatus pf::executeWithFaults(CompileResult &R,
+                                      const PimFlowOptions &Options,
+                                      DiagnosticEngine &DE, bool Recover) {
+  FaultModel Faults;
+  if (Options.FaultSpec == "chaos") {
+    Faults = FaultModel::chaos(Options.FaultSeed, R.Config.Pim.Channels);
+  } else if (auto Parsed = FaultModel::parse(Options.FaultSpec, DE)) {
+    Faults = *std::move(Parsed);
+  } else {
+    return FaultExecStatus::BadSpec;
+  }
+  PF_LOG_INFO("injecting faults: %s", Faults.describe().c_str());
+
+  if (!Recover) {
+    RetryPolicy Retry;
+    Retry.MaxRetries = Options.MaxRetries;
+    auto TL = ExecutionEngine(R.Config).tryExecute(R.Transformed, DE, &Faults,
+                                                   &Retry);
+    if (!TL)
+      return FaultExecStatus::Failed;
+    R.Schedule = *std::move(TL);
+    return FaultExecStatus::Ok;
+  }
+
+  // Recovery only flips device annotations, so the executed graph stays
+  // bit-identical to the transformed one.
+  RecoveryOptions RO;
+  RO.Retry.MaxRetries = Options.MaxRetries;
+  RO.PimFloor = Options.PimFloor;
+  RecoveryResult RR = RecoveryExecutor(R.Config, Faults, RO).run(R.Transformed,
+                                                                 DE);
+  if (!RR.Ok)
+    return FaultExecStatus::Failed;
+  R.Transformed = std::move(RR.Executed);
+  R.Schedule = std::move(RR.Schedule);
+  R.Recovery.Active = true;
+  R.Recovery.Degraded = RR.Degraded;
+  R.Recovery.DeadChannels = RR.DeadChannels;
+  R.Recovery.StalledChannels = RR.StalledChannels;
+  R.Recovery.SurvivingChannels = RR.SurvivingChannels;
+  R.Recovery.NodesRemapped = RR.NodesRemapped;
+  R.Recovery.NodesFellBack = RR.NodesFellBack;
+  R.Recovery.TransientRetries = RR.TransientRetries;
+  R.Recovery.Notes = std::move(RR.Notes);
+  for (const std::string &Note : R.Recovery.Notes)
+    PF_LOG_INFO("recovery: %s", Note.c_str());
+  return FaultExecStatus::Ok;
+}
+
 CompileResult PimFlow::executePlan(const Graph &Model, ExecutionPlan Plan) {
   PF_TRACE_SCOPE_CAT("pimflow.execute_plan", "compile");
   CompileResult R;
@@ -224,43 +273,17 @@ CompileResult PimFlow::executePlan(const Graph &Model, ExecutionPlan Plan) {
     ExecutionEngine Engine(Config);
     R.Schedule = Engine.execute(R.Transformed);
   } else {
-    // Fault-injected execution: build the fault schedule, then let the
-    // recovery executor retry, remap, or fall back as needed. Recovery only
-    // flips device annotations, so the executed graph stays bit-identical
-    // to the transformed one.
     PF_TRACE_SCOPE_CAT("pimflow.execute_with_faults", "compile");
     DiagnosticEngine DE;
-    FaultModel Faults;
-    if (Options.FaultSpec == "chaos") {
-      Faults = FaultModel::chaos(Options.FaultSeed, Config.Pim.Channels);
-    } else if (auto Parsed = FaultModel::parse(Options.FaultSpec, DE)) {
-      Faults = *std::move(Parsed);
-    } else {
+    switch (executeWithFaults(R, Options, DE)) {
+    case FaultExecStatus::Ok:
+      break;
+    case FaultExecStatus::BadSpec:
       fatal(formatStr("bad --faults spec:\n%s", DE.render().c_str()));
-    }
-    PF_LOG_INFO("injecting faults: %s", Faults.describe().c_str());
-
-    RecoveryOptions RO;
-    RO.Retry.MaxRetries = Options.MaxRetries;
-    RO.PimFloor = Options.PimFloor;
-    RecoveryExecutor Exec(Config, Faults, RO);
-    RecoveryResult RR = Exec.run(R.Transformed, DE);
-    if (!RR.Ok)
+    case FaultExecStatus::Failed:
       fatal(formatStr("fault recovery failed for '%s':\n%s",
                       R.Transformed.name().c_str(), DE.render().c_str()));
-    R.Transformed = std::move(RR.Executed);
-    R.Schedule = std::move(RR.Schedule);
-    R.Recovery.Active = true;
-    R.Recovery.Degraded = RR.Degraded;
-    R.Recovery.DeadChannels = RR.DeadChannels;
-    R.Recovery.StalledChannels = RR.StalledChannels;
-    R.Recovery.SurvivingChannels = RR.SurvivingChannels;
-    R.Recovery.NodesRemapped = RR.NodesRemapped;
-    R.Recovery.NodesFellBack = RR.NodesFellBack;
-    R.Recovery.TransientRetries = RR.TransientRetries;
-    R.Recovery.Notes = std::move(RR.Notes);
-    for (const std::string &Note : R.Recovery.Notes)
-      PF_LOG_INFO("recovery: %s", Note.c_str());
+    }
   }
   obs::addCounter("pimflow.compilations");
   PF_LOG_INFO("executed %s: %.2f us end-to-end, %.2f uJ",

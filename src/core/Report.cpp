@@ -18,12 +18,6 @@ using namespace pf;
 ExecutionStats pf::computeStats(const CompileResult &R) {
   ExecutionStats S;
   const Graph &G = R.Transformed;
-
-  PimCommandGenerator Gen(R.Config.Pim.Channels > 0
-                              ? R.Config.Pim
-                              : PimConfig::newtonPlus(),
-                          R.Config.Codegen);
-
   for (const NodeSchedule &Sched : R.Schedule.Nodes) {
     const Node &N = G.node(Sched.Id);
     if (Sched.durationNs() <= 0.0) {
@@ -32,13 +26,13 @@ ExecutionStats pf::computeStats(const CompileResult &R) {
     }
     if (Sched.Dev == Device::Pim) {
       ++S.PimKernels;
-      const PimKernelSpec Spec = lowerToPimSpec(G, Sched.Id);
-      const PimKernelPlan Plan = Gen.plan(Spec);
-      S.PimGwriteBursts += Plan.Stats.GwriteBursts;
-      S.PimGActs += Plan.Stats.GActs;
-      S.PimCompColumns += Plan.Stats.CompColumns;
-      S.PimReadRes += Plan.Stats.ReadResCmds;
-      S.PimWeightBytes += Spec.weightBytes();
+      if (const PimKernelRecord *K = R.Schedule.pimKernel(Sched.Id)) {
+        S.PimGwriteBursts += K->GwriteBursts;
+        S.PimGActs += K->GActs;
+        S.PimCompColumns += K->CompColumns;
+        S.PimReadRes += K->ReadResCmds;
+      }
+      S.PimWeightBytes += lowerToPimSpec(G, Sched.Id).weightBytes();
     } else {
       ++S.GpuKernels;
       for (ValueId In : N.Inputs)

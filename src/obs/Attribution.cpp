@@ -12,7 +12,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "codegen/PimKernelSpec.h"
 #include "obs/Counters.h"
 #include "support/Format.h"
 
@@ -226,9 +225,9 @@ AttributionReport pf::obs::attributeTimeline(const Graph &G,
     R.Slack.push_back(NS);
   }
 
-  // --- Lane usage and per-channel phases. Regenerate each offloaded
-  // node's command trace to learn channel occupancy (the Chrome-trace
-  // derivation), and total the phase cycles of every channel trace.
+  // --- Lane usage and per-channel phases, read off the engine's kernel
+  // records: a PIM node occupies every channel of its mapping while it
+  // runs (the Chrome trace's derivation too).
   LaneUsage Gpu;
   Gpu.Name = "gpu";
   Gpu.Channel = -1;
@@ -237,29 +236,19 @@ AttributionReport pf::obs::attributeTimeline(const Graph &G,
       Gpu.Busy.push_back(LaneInterval{S.Id, S.StartNs, S.EndNs});
 
   std::map<int, LaneUsage> Channels;
-  std::map<int, ChannelPhaseCycles> Phases;
-  if (Config.hasPim()) {
-    PimCommandGenerator Gen(Config.Pim, Config.Codegen);
-    for (const NodeSchedule &S : TL.Nodes) {
-      if (S.Dev != Device::Pim || S.durationNs() <= 0.0)
-        continue;
-      const PimKernelPlan Plan = Gen.plan(lowerToPimSpec(G, S.Id));
-      for (size_t C = 0; C < Plan.Trace.Channels.size(); ++C) {
-        if (Plan.Trace.Channels[C].empty())
-          continue;
-        const int Ch = static_cast<int>(C);
-        LaneUsage &Lane = Channels[Ch];
-        if (Lane.Name.empty()) {
-          Lane.Name = formatStr("pim.ch%d", Ch);
-          Lane.Channel = Ch;
-        }
-        Lane.Busy.push_back(LaneInterval{S.Id, S.StartNs, S.EndNs});
-        ChannelPhaseCycles P =
-            phaseCyclesOf(Config.Pim, Plan.Trace.Channels[C]);
-        P.Channel = Ch;
-        Phases[Ch] += P;
-        Phases[Ch].Channel = Ch;
+  for (const NodeSchedule &S : TL.Nodes) {
+    if (S.Dev != Device::Pim || S.durationNs() <= 0.0)
+      continue;
+    const PimKernelRecord *K = TL.pimKernel(S.Id);
+    if (!K)
+      continue;
+    for (int Ch = 0; Ch < K->Mapping.channels(); ++Ch) {
+      LaneUsage &Lane = Channels[Ch];
+      if (Lane.Name.empty()) {
+        Lane.Name = formatStr("pim.ch%d", Ch);
+        Lane.Channel = Ch;
       }
+      Lane.Busy.push_back(LaneInterval{S.Id, S.StartNs, S.EndNs});
     }
   }
 
@@ -277,11 +266,7 @@ AttributionReport pf::obs::attributeTimeline(const Graph &G,
     fillGaps(Lane, R.TotalNs);
     R.Lanes.push_back(std::move(Lane));
   }
-  for (const auto &[Ch, P] : Phases)
-    R.Phases.push_back(P);
-
-  addCounter("attrib.critical_steps",
-             static_cast<int64_t>(R.Critical.Steps.size()));
+  R.Phases = TL.PimPhases;
   return R;
 }
 

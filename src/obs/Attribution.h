@@ -13,10 +13,10 @@
 /// The analysis replays the ExecutionEngine's scheduling rules rather than
 /// instrumenting the scheduler: a node starts at max(lane free, ready), a
 /// cross-device producer hands off SyncOverheadNs late, and zero-duration
-/// (fused) nodes never occupy a lane. Per-channel occupancy is derived the
-/// same way the Chrome-trace exporter derives it — by regenerating each
-/// offloaded node's command trace and reading which channels it maps to —
-/// so the two views of a run always agree.
+/// (fused) nodes never occupy a lane. Per-channel occupancy and phase
+/// cycles are read off the engine's kernel records (Timeline::PimKernels,
+/// Timeline::PimPhases), as the Chrome-trace exporter reads them, so the
+/// two views of a run always agree and describe the kernels that ran.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -119,13 +119,14 @@ struct AttributionReport {
   std::vector<NodeSlack> Slack;
   /// The GPU lane first, then every used PIM channel ascending.
   std::vector<LaneUsage> Lanes;
-  /// Per-channel command-phase cycles summed over all offloaded nodes
-  /// (planned, fault-free traces), ascending by channel.
+  /// Per-channel command-phase cycles summed over all offloaded nodes as
+  /// executed (Timeline::PimPhases), ascending by channel.
   std::vector<ChannelPhaseCycles> Phases;
 };
 
 /// Attributes \p TL (executed from \p G under \p Config): critical chain,
-/// slack, lane usage, and per-channel phase cycles.
+/// slack, lane usage, and per-channel phase cycles. A pure reader: it plans,
+/// simulates and counts nothing.
 AttributionReport attributeTimeline(const Graph &G, const Timeline &TL,
                                     const SystemConfig &Config);
 

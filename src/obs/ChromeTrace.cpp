@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <set>
 
-#include "codegen/PimKernelSpec.h"
 #include "obs/Json.h"
 #include "support/Format.h"
 
@@ -79,39 +78,21 @@ void emitCompileSpans(JsonWriter &W,
 /// Execution tids: 0 = the GPU lane, 1 + k = PIM channel k.
 int channelTid(int Channel) { return 1 + Channel; }
 
-void emitExecution(JsonWriter &W, const Graph &G, const Timeline &TL,
-                   const SystemConfig &Config) {
+void emitExecution(JsonWriter &W, const Graph &G, const Timeline &TL) {
   emitProcessName(W, ExecutionPid, "execution (simulated)");
   emitThreadName(W, ExecutionPid, 0, "GPU lane");
 
-  // Regenerate the scheduled command traces of offloaded nodes to learn
-  // which channels each one occupies (same derivation as computeStats).
-  PimCommandGenerator Gen(Config.Pim.Channels > 0 ? Config.Pim
-                                                  : PimConfig::newtonPlus(),
-                          Config.Codegen);
-
-  std::set<int> UsedChannels;
-  struct PimSlice {
-    const NodeSchedule *Sched = nullptr;
-    std::vector<int> Channels;
-    std::string Mapping;
+  // An offloaded node occupies channels [0, channels()) of the mapping its
+  // engine kernel record names.
+  auto kernelOf = [&TL](const NodeSchedule &S) -> const PimKernelRecord * {
+    return S.Dev == Device::Pim && S.durationNs() > 0.0 ? TL.pimKernel(S.Id)
+                                                        : nullptr;
   };
-  std::vector<PimSlice> PimSlices;
-  for (const NodeSchedule &S : TL.Nodes) {
-    if (S.Dev != Device::Pim || S.durationNs() <= 0.0)
-      continue;
-    const PimKernelPlan Plan = Gen.plan(lowerToPimSpec(G, S.Id));
-    PimSlice Slice;
-    Slice.Sched = &S;
-    Slice.Mapping = Plan.describeMapping();
-    for (size_t C = 0; C < Plan.Trace.Channels.size(); ++C)
-      if (!Plan.Trace.Channels[C].empty()) {
-        Slice.Channels.push_back(static_cast<int>(C));
-        UsedChannels.insert(static_cast<int>(C));
-      }
-    PimSlices.push_back(std::move(Slice));
-  }
-  for (int C : UsedChannels)
+  int PimChannels = 0;
+  for (const NodeSchedule &S : TL.Nodes)
+    if (const PimKernelRecord *K = kernelOf(S))
+      PimChannels = std::max(PimChannels, K->Mapping.channels());
+  for (int C = 0; C < PimChannels; ++C)
     emitThreadName(W, ExecutionPid, channelTid(C),
                    formatStr("PIM ch %d", C));
 
@@ -121,20 +102,24 @@ void emitExecution(JsonWriter &W, const Graph &G, const Timeline &TL,
     emitCompleteEvent(W, ExecutionPid, 0, G.node(S.Id).Name, "gpu",
                       S.StartNs / 1e3, S.durationNs() / 1e3);
   }
-  for (const PimSlice &Slice : PimSlices) {
-    const Node &N = G.node(Slice.Sched->Id);
-    for (int C : Slice.Channels) {
+  for (const NodeSchedule &S : TL.Nodes) {
+    const PimKernelRecord *K = kernelOf(S);
+    if (!K)
+      continue;
+    const Node &N = G.node(S.Id);
+    const std::string Mapping = K->Mapping.describeMapping();
+    for (int C = 0; C < K->Mapping.channels(); ++C) {
       W.beginObject()
           .field("name", N.Name)
           .field("cat", "pim")
           .field("ph", "X")
           .field("pid", ExecutionPid)
           .field("tid", channelTid(C))
-          .field("ts", Slice.Sched->StartNs / 1e3)
-          .field("dur", Slice.Sched->durationNs() / 1e3)
+          .field("ts", S.StartNs / 1e3)
+          .field("dur", S.durationNs() / 1e3)
           .key("args")
           .beginObject()
-          .field("mapping", Slice.Mapping)
+          .field("mapping", Mapping)
           .field("op", opKindName(N.Kind))
           .endObject()
           .endObject();
@@ -157,19 +142,11 @@ JsonWriter startDocument() {
 
 } // namespace
 
-std::string
-pf::obs::renderChromeTrace(const Graph &G, const Timeline &TL,
-                           const SystemConfig &Config,
-                           const std::vector<TraceEvent> &CompileSpans) {
-  JsonWriter W = startDocument();
-  emitCompileSpans(W, CompileSpans);
-  emitExecution(W, G, TL, Config);
-  return finishDocument(W);
-}
-
 std::string pf::obs::renderChromeTrace(const CompileResult &R) {
-  return renderChromeTrace(R.Transformed, R.Schedule, R.Config,
-                           Tracer::instance().snapshot());
+  JsonWriter W = startDocument();
+  emitCompileSpans(W, Tracer::instance().snapshot());
+  emitExecution(W, R.Transformed, R.Schedule);
+  return finishDocument(W);
 }
 
 std::string
@@ -182,11 +159,4 @@ pf::obs::renderCompileTrace(const std::vector<TraceEvent> &CompileSpans) {
 bool pf::obs::writeChromeTrace(const CompileResult &R,
                                const std::string &Path) {
   return writeTextFile(Path, renderChromeTrace(R));
-}
-
-bool pf::obs::writeChromeTrace(const Graph &G, const Timeline &TL,
-                               const SystemConfig &Config,
-                               const std::string &Path) {
-  return writeTextFile(
-      Path, renderChromeTrace(G, TL, Config, Tracer::instance().snapshot()));
 }

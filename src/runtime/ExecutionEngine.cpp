@@ -33,6 +33,13 @@ const NodeSchedule &Timeline::scheduleOf(NodeId Id) const {
                   static_cast<int>(Id), Nodes.size()));
 }
 
+const PimKernelRecord *Timeline::pimKernel(NodeId Id) const {
+  for (const PimKernelRecord &K : PimKernels)
+    if (K.Id == Id)
+      return &K;
+  return nullptr;
+}
+
 ExecutionEngine::ExecutionEngine(const SystemConfig &Config)
     : Config(Config), Gpu(Config.Gpu), MemOpt(Config.MemoryOptimizer) {}
 
@@ -89,28 +96,6 @@ GpuCost gpuCostOf(const Graph &G, NodeId Id, const SystemConfig &Config,
 
 } // namespace
 
-double ExecutionEngine::nodeLatencyNs(const Graph &G, NodeId Id,
-                                      Device Dev) const {
-  if (Dev == Device::Pim) {
-    PF_ASSERT(Config.hasPim(), "PIM node scheduled without PIM channels");
-    PF_ASSERT(isPimCandidate(G.node(Id)), "PIM node is not offloadable");
-    PimCommandGenerator Gen(Config.Pim, Config.Codegen);
-    return Gen.plan(lowerToPimSpec(G, Id)).Ns;
-  }
-  return gpuCostOf(G, Id, Config, Gpu, MemOpt).Ns;
-}
-
-double ExecutionEngine::nodeEnergyJ(const Graph &G, NodeId Id,
-                                    Device Dev) const {
-  if (Dev == Device::Pim) {
-    PimCommandGenerator Gen(Config.Pim, Config.Codegen);
-    PimSimulator Sim(Config.Pim);
-    const PimKernelPlan Plan = Gen.plan(lowerToPimSpec(G, Id));
-    return Sim.energyJ(Plan.Stats, Plan.EffectiveMacs);
-  }
-  return gpuCostOf(G, Id, Config, Gpu, MemOpt).EnergyJ;
-}
-
 Timeline ExecutionEngine::execute(const Graph &G) const {
   DiagnosticEngine DE;
   std::optional<Timeline> TL = tryExecute(G, DE);
@@ -137,10 +122,7 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
     obs::flightEvent(obs::FlightEventKind::ExecError, 0, -1, -1, 0.0, What);
     obs::FlightRecorder::instance().autoDump(What);
   };
-  PimCommandGenerator Gen(Config.Pim.Channels > 0
-                              ? Config.Pim
-                              : PimConfig::newtonPlus(),
-                          Config.Codegen);
+  PimCommandGenerator Gen(Config.Pim, Config.Codegen);
   PimSimulator Sim(Config.Pim);
 
   // A cyclic dependency set never becomes ready, so Kahn's order comes up
@@ -177,10 +159,12 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
 
   // Fault-aware PIM timing of \p NI. Runs in both scheduling passes,
   // like every other fault-path effect (counters, flight events, channel
-  // metrics), so a faulted run reports each kernel once per pass.
+  // metrics), so a faulted run reports each kernel once per pass. The
+  // fault-aware run replaces the plan's Stats, so the kernel record and
+  // phase totals describe what this pass executed.
   auto CostFaulted = [&](NodeInfo &NI) {
-    const PimKernelPlan &Plan = Plans[NI.Plan];
-    const FaultyRunStats FS = Sim.runWithFaults(Plan.Trace, *Faults, *Retry);
+    PimKernelPlan &Plan = Plans[NI.Plan];
+    FaultyRunStats FS = Sim.runWithFaults(Plan.Trace, *Faults, *Retry);
     if (FS.anyPersistent()) {
       // Recovery must remap or fall back before the engine runs; a
       // persistent fault here would make the timeline silently wrong.
@@ -193,6 +177,7 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
     obs::addCounter("engine.fault_retries", FS.TotalRetries);
     NI.BaseNs = FS.Stats.Ns;
     NI.EnergyJ = Sim.energyJ(FS.Stats, Plan.EffectiveMacs);
+    Plan.Stats = std::move(FS.Stats);
     return true;
   };
   const bool Faulted = Faults && !Faults->empty();
@@ -399,6 +384,26 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
       return std::nullopt;
     TL = *std::move(MaybeTL);
     TL.ContentionSlowdown = Slowdown;
+  }
+
+  // What ran on PIM, for the observers: each kernel's mapping and command
+  // counts, and per-channel phase cycles of the final pass's runs.
+  TL.PimKernels.reserve(Plans.size());
+  for (const NodeInfo &NI : Info) {
+    if (NI.Dev != Device::Pim)
+      continue;
+    const PimKernelPlan &Plan = Plans[NI.Plan];
+    const PimRunStats &Run = Plan.Stats;
+    TL.PimKernels.push_back(PimKernelRecord{NI.Id, Plan, Run.GwriteBursts,
+                                            Run.GActs, Run.CompColumns,
+                                            Run.ReadResCmds});
+    for (const ChannelPhaseCycles &P : Run.ChannelPhases) {
+      const size_t Ch = static_cast<size_t>(P.Channel);
+      if (TL.PimPhases.size() <= Ch)
+        TL.PimPhases.resize(Ch + 1);
+      TL.PimPhases[Ch] += P;
+      TL.PimPhases[Ch].Channel = P.Channel;
+    }
   }
 
   // Kernel energies plus GPU static power while idle within the makespan

@@ -24,6 +24,7 @@
 #include <optional>
 #include <vector>
 
+#include "codegen/CommandGenerator.h"
 #include "codegen/MemoryOptimizer.h"
 #include "gpu/GpuModel.h"
 #include "pim/FaultModel.h"
@@ -43,9 +44,31 @@ struct NodeSchedule {
   double durationNs() const { return EndNs - StartNs; }
 };
 
+/// What the engine ran for one PIM node: the mapping its
+/// command-scheduling pass chose and the commands it issued (expanded over
+/// block repeats, summed over channels).
+struct PimKernelRecord {
+  NodeId Id = InvalidNode;
+  PimMapping Mapping;
+  int64_t GwriteBursts = 0;
+  int64_t GActs = 0;
+  int64_t CompColumns = 0;
+  int64_t ReadResCmds = 0;
+};
+
 /// Result of executing a graph.
 struct Timeline {
   std::vector<NodeSchedule> Nodes;
+  /// One record per PIM node, in topological order: the one plan of each
+  /// kernel that stats, attribution and the Chrome trace read. Compact on
+  /// purpose (no command traces): serve keeps a timeline per (model,
+  /// channel grant).
+  std::vector<PimKernelRecord> PimKernels;
+  /// Per-channel phase cycles summed over the PIM kernels of the final
+  /// scheduling pass, one entry per occupied channel, ascending. Under
+  /// faults they come from the fault-aware runs, so retry and stall cycles
+  /// fold in.
+  std::vector<ChannelPhaseCycles> PimPhases;
   double TotalNs = 0.0;
   double GpuBusyNs = 0.0;
   double PimBusyNs = 0.0;
@@ -64,6 +87,10 @@ struct Timeline {
   /// diagnosable message naming the node; callers that can tolerate absence
   /// should use find() instead.
   const NodeSchedule &scheduleOf(NodeId Id) const;
+
+  /// Kernel record of PIM node \p Id, or nullptr when the node did not run
+  /// on PIM (or the timeline was built by hand without records).
+  const PimKernelRecord *pimKernel(NodeId Id) const;
 };
 
 /// Dependency-driven two-resource scheduler over the timing models.
@@ -90,12 +117,6 @@ public:
   std::optional<Timeline> tryExecute(const Graph &G, DiagnosticEngine &DE,
                                      const FaultModel *Faults = nullptr,
                                      const RetryPolicy *Retry = nullptr) const;
-
-  /// Latency of one node on \p Dev in isolation (no transfers).
-  double nodeLatencyNs(const Graph &G, NodeId Id, Device Dev) const;
-
-  /// Energy of one node on \p Dev in isolation.
-  double nodeEnergyJ(const Graph &G, NodeId Id, Device Dev) const;
 
 private:
   SystemConfig Config;

@@ -6,15 +6,21 @@
 
 #include "obs/Attribution.h"
 
+#include <map>
 #include <optional>
+#include <set>
 
 #include <gtest/gtest.h>
 
+#include "codegen/PimKernelSpec.h"
 #include "core/PimFlow.h"
 #include "ir/Builder.h"
 #include "models/Zoo.h"
+#include "obs/ChromeTrace.h"
 #include "obs/Counters.h"
+#include "obs/Metrics.h"
 #include "obs/PerfReport.h"
+#include "support/Format.h"
 
 using namespace pf;
 using namespace pf::obs;
@@ -80,6 +86,13 @@ TEST(AttributionTest, HandBuiltDependencyChain) {
       sched(C, Device::Pim, 100.0 + Config.SyncOverheadNs,
             300.0 + Config.SyncOverheadNs));
   TL.TotalNs = TL.Nodes.back().EndNs;
+  // Lanes and phases come from the conv's kernel record, as the engine
+  // leaves it when it runs the conv on PIM.
+  Graph Offloaded = G;
+  Offloaded.node(C).Dev = Device::Pim;
+  const Timeline Executed = ExecutionEngine(Config).execute(Offloaded);
+  TL.PimKernels = Executed.PimKernels;
+  TL.PimPhases = Executed.PimPhases;
 
   const AttributionReport R = attributeTimeline(G, TL, Config);
   EXPECT_DOUBLE_EQ(R.TotalNs, TL.TotalNs);
@@ -339,6 +352,127 @@ TEST(AttributionTest, EngineConsistencyToy) {
   // The toy plan offloads work, so PIM lanes and phase totals exist.
   EXPECT_GE(A.Lanes.size(), 2u);
   EXPECT_FALSE(A.Phases.empty());
+}
+
+namespace {
+
+/// Every global counter, HDR histogram (count and sum), gauge and the
+/// simulated-cycle clock, rendered for an equality check.
+std::string observabilityState() {
+  std::string Out;
+  for (const auto &[Name, V] : Registry::instance().counterSnapshot())
+    Out += formatStr("counter %s %lld\n", Name.c_str(), (long long)V);
+  const MetricsRegistry &M = MetricsRegistry::instance();
+  for (const auto &[Name, Q] : M.histogramSnapshot())
+    Out += formatStr("histogram %s %lld %.17g\n", Name.c_str(),
+                     (long long)Q.Count, Q.Sum);
+  for (const auto &[Name, V] : M.gaugeSnapshot())
+    Out += formatStr("gauge %s %.17g\n", Name.c_str(), V);
+  Out += formatStr("cycles %lld\n", (long long)M.cycles());
+  return Out;
+}
+
+CompileResult compileWithFaults(const char *Model, const char *Spec) {
+  PimFlowOptions O;
+  O.FaultSpec = Spec;
+  return PimFlow(OffloadPolicy::PimFlow, O).compileAndRun(buildModel(Model));
+}
+
+} // namespace
+
+// The observers read the engine's kernel records: the stats, attribution
+// and Chrome-trace passes over a compiled run plan, simulate and count
+// nothing.
+TEST(AttributionTest, ObserversRecordNoWork) {
+  const bool WasEnabled = observabilityEnabled();
+  setObservabilityEnabled(true);
+  resetAll();
+  const CompileResult R = PimFlow(OffloadPolicy::PimFlow).compileAndRun(
+      buildModel("mobilenet-v2"));
+  ASSERT_FALSE(R.Schedule.PimKernels.empty());
+  const std::string Before = observabilityState();
+
+  const ExecutionStats S = computeStats(R);
+  const AttributionReport A =
+      attributeTimeline(R.Transformed, R.Schedule, R.Config);
+  const std::string Trace = renderChromeTrace(R);
+  EXPECT_EQ(observabilityState(), Before);
+
+  EXPECT_EQ(S.PimKernels, static_cast<int>(R.Schedule.PimKernels.size()));
+  EXPECT_GT(S.PimGActs, 0);
+  EXPECT_GE(A.Lanes.size(), 2u);
+  EXPECT_FALSE(Trace.empty());
+  resetAll();
+  setObservabilityEnabled(WasEnabled);
+}
+
+// A degraded run reports the channels it ran on: with two of the sixteen
+// PIM channels dead, the lanes, the phase entries and the Chrome trace's
+// PIM tids cover exactly the surviving channels.
+TEST(AttributionTest, DegradedRunShowsSurvivingChannelsOnly) {
+  const CompileResult R = compileWithFaults("mobilenet-v2", "dead:3,dead:7");
+  ASSERT_TRUE(R.Recovery.Degraded);
+  const size_t Survivors =
+      static_cast<size_t>(R.Recovery.SurvivingChannels);
+  ASSERT_EQ(Survivors, static_cast<size_t>(R.Config.Pim.Channels - 2));
+
+  const AttributionReport A =
+      attributeTimeline(R.Transformed, R.Schedule, R.Config);
+  EXPECT_EQ(A.Lanes.size(), 1 + Survivors); // The GPU lane, then PIM.
+  EXPECT_EQ(A.Phases.size(), Survivors);
+  for (const ChannelPhaseCycles &P : A.Phases)
+    EXPECT_LT(P.Channel, static_cast<int>(Survivors));
+
+  const auto Doc = JsonValue::parse(renderChromeTrace(R));
+  ASSERT_TRUE(Doc.has_value());
+  std::set<double> PimTids;
+  for (const JsonValue &E : Doc->find("traceEvents")->Array)
+    if (E.numberOr("pid", -1) == 2 && E.numberOr("tid", -1) > 0)
+      PimTids.insert(E.numberOr("tid", -1));
+  EXPECT_EQ(PimTids.size(), Survivors);
+}
+
+// Under retried transient faults and a slowed channel the phase totals are
+// the engine's fault-aware runs, so the retry time shows up.
+TEST(AttributionTest, FaultPhasesAreTheEnginesFaultAwareRuns) {
+  const char *Spec = "slow:1:1.5,comp:0:3:2,readres:2:1:1";
+  const CompileResult R = compileWithFaults("mobilenet-v2", Spec);
+  ASSERT_GT(R.Recovery.TransientRetries, 0);
+  ASSERT_EQ(R.Recovery.NodesFellBack, 0);
+
+  // Each PIM kernel's fault-aware run, computed independently.
+  DiagnosticEngine DE;
+  const std::optional<FaultModel> Faults = FaultModel::parse(Spec, DE);
+  ASSERT_TRUE(Faults.has_value());
+  RetryPolicy Retry;
+  Retry.MaxRetries = PimFlowOptions().MaxRetries;
+  const PimCommandGenerator Gen(R.Config.Pim, R.Config.Codegen);
+  const PimSimulator Sim(R.Config.Pim);
+  std::map<int, ChannelPhaseCycles> Want;
+  for (const NodeSchedule &S : R.Schedule.Nodes) {
+    if (S.Dev != Device::Pim)
+      continue;
+    const PimKernelPlan Plan = Gen.plan(lowerToPimSpec(R.Transformed, S.Id));
+    for (const ChannelPhaseCycles &P :
+         Sim.runWithFaults(Plan.Trace, *Faults, Retry).Stats.ChannelPhases)
+      Want[P.Channel] += P;
+  }
+
+  const AttributionReport A =
+      attributeTimeline(R.Transformed, R.Schedule, R.Config);
+  ASSERT_EQ(A.Phases.size(), Want.size());
+  int64_t RetryCycles = 0;
+  for (const ChannelPhaseCycles &P : A.Phases) {
+    const ChannelPhaseCycles &W = Want.at(P.Channel);
+    EXPECT_EQ(P.GwriteCycles, W.GwriteCycles) << "ch" << P.Channel;
+    EXPECT_EQ(P.GactCycles, W.GactCycles) << "ch" << P.Channel;
+    EXPECT_EQ(P.CompCycles, W.CompCycles) << "ch" << P.Channel;
+    EXPECT_EQ(P.ReadResCycles, W.ReadResCycles) << "ch" << P.Channel;
+    EXPECT_EQ(P.RetryCycles, W.RetryCycles) << "ch" << P.Channel;
+    EXPECT_EQ(P.StallCycles, W.StallCycles) << "ch" << P.Channel;
+    RetryCycles += P.RetryCycles;
+  }
+  EXPECT_GT(RetryCycles, 0);
 }
 
 // Every node the plan covers appears in the decision trail with the mode

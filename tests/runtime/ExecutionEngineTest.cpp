@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "codegen/PimKernelSpec.h"
 #include "ir/Builder.h"
 
 using namespace pf;
@@ -148,10 +149,13 @@ TEST(ExecutionEngineTest, PimLatencyMatchesIsolatedQuery) {
     }
   SystemConfig Cfg = dualConfig();
   ExecutionEngine E(Cfg);
-  const double Gpu = E.nodeLatencyNs(G, Conv, Device::Gpu);
-  const double Pim = E.nodeLatencyNs(G, Conv, Device::Pim);
+  const double Gpu = GpuModel(Cfg.Gpu).nodeTime(G, Conv).Ns;
+  const double Pim = PimCommandGenerator(Cfg.Pim, Cfg.Codegen)
+                         .plan(lowerToPimSpec(G, Conv))
+                         .Ns;
   EXPECT_GT(Gpu, 0.0);
   EXPECT_GT(Pim, 0.0);
+  EXPECT_NEAR(E.execute(G).scheduleOf(Conv).durationNs(), Gpu, 1e-6);
   G.node(Conv).Dev = Device::Pim;
   Timeline TL = E.execute(G);
   EXPECT_NEAR(TL.scheduleOf(Conv).durationNs(), Pim, 1e-6);

@@ -47,8 +47,10 @@
 #      trips, probes, and re-admits; plus a tight-deadline burst proving
 #      queued expiries shed and late completions classify.
 #  10. The memory/UB tier: the serve + runtime resilience suites, the
-#      execution-engine suites (timeline goldens included) and the PIM
-#      simulator suite rebuilt and re-run under AddressSanitizer and
+#      execution-engine suites (timeline goldens included), the PIM
+#      simulator suite and the observers that index the engine's kernel
+#      records (attribution, report, Chrome trace) rebuilt and re-run
+#      under AddressSanitizer and
 #      UndefinedBehaviorSanitizer (PIMFLOW_SANITIZE=address|undefined;
 #      UBSan findings are fatal).
 #  11. The request-tracing tier: a 200-request chaos serve run with
@@ -310,17 +312,19 @@ grep -qE 'shed_reasons: queue_full=[0-9]+ deadline_expired=[1-9]' \
 grep -qE 'deadline: met=[1-9][0-9]* missed_run=[1-9][0-9]* expired_queued=[1-9]' \
   "$CHAOS_DIR/deadline.txt"
 
-echo "== tier 10: ASan + UBSan on the serve/runtime resilience suites =="
+echo "== tier 10: ASan + UBSan on the serve/runtime resilience and observer suites =="
 cmake -B build-asan -S . -DPIMFLOW_SANITIZE=address
 cmake --build build-asan -j "$JOBS" \
-  --target serve_test serve_chaos_test engine_test pim_test
+  --target serve_test serve_chaos_test engine_test pim_test obs_test \
+  core_test
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|ExecutionEngine|EngineTimelineGolden|PimSimulator'
+  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|ExecutionEngine|EngineTimelineGolden|PimSimulator|Attribution|Report|TraceTest'
 cmake -B build-ubsan -S . -DPIMFLOW_SANITIZE=undefined
 cmake --build build-ubsan -j "$JOBS" \
-  --target serve_test serve_chaos_test engine_test pim_test
+  --target serve_test serve_chaos_test engine_test pim_test obs_test \
+  core_test
 ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" \
-  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|ExecutionEngine|EngineTimelineGolden|PimSimulator'
+  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|ExecutionEngine|EngineTimelineGolden|PimSimulator|Attribution|Report|TraceTest'
 
 echo "== tier 11: request tracing — deterministic tail-sampled serve traces =="
 TRACE_DIR=build/trace-smoke

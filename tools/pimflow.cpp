@@ -53,7 +53,6 @@
 #include "core/Report.h"
 #include "plan/PlanArtifact.h"
 #include "runtime/ExecutionEngine.h"
-#include "runtime/Recovery.h"
 #include "codegen/CommandGenerator.h"
 #include "pim/TraceIO.h"
 #include "ir/GraphPrinter.h"
@@ -348,6 +347,12 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
              "--trace-sample) require the serve verb");
     Ok = false;
   }
+  if (O.NoRecovery && O.GraphFile.empty()) {
+    DE.error(DiagCode::BadOption, "--no-recovery",
+             "is only honoured by run --graph=<file> (compiled runs always "
+             "recover)");
+    Ok = false;
+  }
   if (O.Mode == "compile" && (!O.TraceOut.empty() || !O.PerfReport.empty())) {
     DE.error(DiagCode::BadOption, "compile",
              "runs no execution, so --trace-out/--perf-report have nothing "
@@ -451,12 +456,10 @@ std::optional<Graph> resolveModel(const std::string &NameOrPath) {
 }
 
 /// Prints --stats and writes --perf-report, --metrics-out and --trace-out
-/// for a finished run. The stats and attribution passes re-plan the
-/// offloaded kernels (bumping codegen and simulator counters), so each
-/// runs exactly once per observed run, whatever was asked for, and the
-/// phase counters are exported once: the counters a run reports never
-/// depend on its flags. The Chrome trace re-plans too, so it is rendered
-/// after every export that carries counters.
+/// for a finished run. The stats, attribution and Chrome-trace passes read
+/// the engine's kernel records and count nothing; the phase counters are
+/// exported once per observed run, so the counters a run reports never
+/// depend on its flags.
 int exportObservability(const CliOptions &O, const CompileResult &R) {
   if (!O.Stats && !O.observed())
     return 0;
@@ -639,56 +642,25 @@ int runExecuteGraphFile(const CliOptions &O) {
     ExecutionEngine Engine(Config);
     R.Schedule = Engine.execute(R.Transformed);
   } else {
+    // --no-recovery drives the engine directly against the fault schedule:
+    // any persistent fault fails the run with fault.unrecovered — the
+    // deterministic trigger for the flight recorder's auto-dump (ci.sh
+    // tier 6 relies on this).
     DiagnosticEngine DE;
-    FaultModel Faults;
-    if (O.Flow.FaultSpec == "chaos") {
-      Faults = FaultModel::chaos(O.Flow.FaultSeed, Config.Pim.Channels);
-    } else if (auto Parsed = FaultModel::parse(O.Flow.FaultSpec, DE)) {
-      Faults = *std::move(Parsed);
-    } else {
+    switch (executeWithFaults(R, O.Flow, DE, !O.NoRecovery)) {
+    case FaultExecStatus::Ok:
+      break;
+    case FaultExecStatus::BadSpec:
       std::fprintf(stderr, "error: bad --faults spec:\n%s",
                    DE.render().c_str());
       return 2;
-    }
-    if (O.NoRecovery) {
-      // Drive the engine directly against the fault schedule, bypassing
-      // the retry -> remap -> floor ladder: any persistent fault reaches
-      // tryExecute and fails the run with fault.unrecovered — the
-      // deterministic trigger for the flight recorder's auto-dump
-      // (ci.sh tier 6 relies on this).
-      RetryPolicy Retry;
-      Retry.MaxRetries = O.Flow.MaxRetries;
-      ExecutionEngine Engine(Config);
-      auto TL = Engine.tryExecute(R.Transformed, DE, &Faults, &Retry);
-      if (!TL) {
-        std::fprintf(stderr, "error: execution failed under "
-                             "--no-recovery:\n%s",
-                     DE.render().c_str());
-        return 1;
-      }
-      R.Schedule = std::move(*TL);
-    } else {
-      RecoveryOptions RO;
-      RO.Retry.MaxRetries = O.Flow.MaxRetries;
-      RO.PimFloor = O.Flow.PimFloor;
-      RecoveryExecutor Exec(Config, Faults, RO);
-      RecoveryResult RR = Exec.run(R.Transformed, DE);
-      if (!RR.Ok) {
-        std::fprintf(stderr, "error: fault recovery failed:\n%s",
-                     DE.render().c_str());
-        return 1;
-      }
-      R.Transformed = std::move(RR.Executed);
-      R.Schedule = std::move(RR.Schedule);
-      R.Recovery.Active = true;
-      R.Recovery.Degraded = RR.Degraded;
-      R.Recovery.DeadChannels = RR.DeadChannels;
-      R.Recovery.StalledChannels = RR.StalledChannels;
-      R.Recovery.SurvivingChannels = RR.SurvivingChannels;
-      R.Recovery.NodesRemapped = RR.NodesRemapped;
-      R.Recovery.NodesFellBack = RR.NodesFellBack;
-      R.Recovery.TransientRetries = RR.TransientRetries;
-      R.Recovery.Notes = std::move(RR.Notes);
+    case FaultExecStatus::Failed:
+      std::fprintf(stderr,
+                   O.NoRecovery
+                       ? "error: execution failed under --no-recovery:\n%s"
+                       : "error: fault recovery failed:\n%s",
+                   DE.render().c_str());
+      return 1;
     }
   }
   std::printf("%s (%zu nodes): %.2f us end-to-end, %.2f uJ\n",
