@@ -211,16 +211,15 @@ Graph PimFlow::materialize(const Graph &Model, const ExecutionPlan &Plan) {
   return G;
 }
 
-FaultExecStatus pf::executeWithFaults(CompileResult &R,
-                                      const PimFlowOptions &Options,
-                                      DiagnosticEngine &DE, bool Recover) {
+bool pf::executeWithFaults(CompileResult &R, const PimFlowOptions &Options,
+                           DiagnosticEngine &DE, bool Recover) {
   FaultModel Faults;
   if (Options.FaultSpec == "chaos") {
     Faults = FaultModel::chaos(Options.FaultSeed, R.Config.Pim.Channels);
   } else if (auto Parsed = FaultModel::parse(Options.FaultSpec, DE)) {
     Faults = *std::move(Parsed);
   } else {
-    return FaultExecStatus::BadSpec;
+    return false;
   }
   PF_LOG_INFO("injecting faults: %s", Faults.describe().c_str());
 
@@ -230,9 +229,9 @@ FaultExecStatus pf::executeWithFaults(CompileResult &R,
     auto TL = ExecutionEngine(R.Config).tryExecute(R.Transformed, DE, &Faults,
                                                    &Retry);
     if (!TL)
-      return FaultExecStatus::Failed;
+      return false;
     R.Schedule = *std::move(TL);
-    return FaultExecStatus::Ok;
+    return true;
   }
 
   // Recovery only flips device annotations, so the executed graph stays
@@ -243,7 +242,7 @@ FaultExecStatus pf::executeWithFaults(CompileResult &R,
   RecoveryResult RR = RecoveryExecutor(R.Config, Faults, RO).run(R.Transformed,
                                                                  DE);
   if (!RR.Ok)
-    return FaultExecStatus::Failed;
+    return false;
   R.Transformed = std::move(RR.Executed);
   R.Schedule = std::move(RR.Schedule);
   R.Recovery.Active = true;
@@ -257,7 +256,7 @@ FaultExecStatus pf::executeWithFaults(CompileResult &R,
   R.Recovery.Notes = std::move(RR.Notes);
   for (const std::string &Note : R.Recovery.Notes)
     PF_LOG_INFO("recovery: %s", Note.c_str());
-  return FaultExecStatus::Ok;
+  return true;
 }
 
 CompileResult PimFlow::executePlan(const Graph &Model, ExecutionPlan Plan) {
@@ -275,15 +274,9 @@ CompileResult PimFlow::executePlan(const Graph &Model, ExecutionPlan Plan) {
   } else {
     PF_TRACE_SCOPE_CAT("pimflow.execute_with_faults", "compile");
     DiagnosticEngine DE;
-    switch (executeWithFaults(R, Options, DE)) {
-    case FaultExecStatus::Ok:
-      break;
-    case FaultExecStatus::BadSpec:
-      fatal(formatStr("bad --faults spec:\n%s", DE.render().c_str()));
-    case FaultExecStatus::Failed:
-      fatal(formatStr("fault recovery failed for '%s':\n%s",
+    if (!executeWithFaults(R, Options, DE))
+      fatal(formatStr("fault-injected execution of '%s' failed:\n%s",
                       R.Transformed.name().c_str(), DE.render().c_str()));
-    }
   }
   obs::addCounter("pimflow.compilations");
   PF_LOG_INFO("executed %s: %.2f us end-to-end, %.2f uJ",

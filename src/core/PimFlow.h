@@ -150,23 +150,16 @@ struct CompileResult {
   RecoverySummary Recovery;
 };
 
-/// Outcome of executeWithFaults.
-enum class FaultExecStatus : uint8_t {
-  Ok,
-  BadSpec, ///< FaultSpec does not parse; DE holds the diagnostics.
-  Failed,  ///< Recovery (or the engine, without it) failed; see DE.
-};
-
 /// The fault-injected execution behind `--faults`: builds the fault
 /// schedule of \p Options (FaultSpec, or FaultSeed for "chaos") over
 /// R.Config's PIM channels, runs R.Transformed through the RecoveryExecutor
 /// (MaxRetries, PimFloor) and fills R.Transformed, R.Schedule and
 /// R.Recovery. Without \p Recover the engine runs against the schedule
 /// directly, bypassing the ladder, so a persistent fault fails the run with
-/// fault.unrecovered.
-FaultExecStatus executeWithFaults(CompileResult &R,
-                                  const PimFlowOptions &Options,
-                                  DiagnosticEngine &DE, bool Recover = true);
+/// fault.unrecovered. Returns false with the diagnostics in \p DE when the
+/// spec does not parse (fault.bad-spec) or the run fails.
+bool executeWithFaults(CompileResult &R, const PimFlowOptions &Options,
+                       DiagnosticEngine &DE, bool Recover = true);
 
 /// The compiler-and-runtime facade.
 class PimFlow {

@@ -7,9 +7,9 @@
 #include "core/Report.h"
 
 #include "codegen/PimKernelSpec.h"
-#include "codegen/WeightPlacement.h"
 #include "runtime/MemoryPlanner.h"
 #include "runtime/TimelineDump.h"
+#include "runtime/WeightPlacement.h"
 #include "support/Format.h"
 #include "support/Table.h"
 
@@ -91,7 +91,7 @@ std::string pf::renderReport(const CompileResult &R,
             formatStr("%.2f MB", MP.AliasedBytes / 1048576.0)});
   if (R.Config.hasPim()) {
     const PlacementPlan WP =
-        placeWeights(R.Transformed, R.Config.Pim, R.Config.Codegen);
+        placeWeights(R.Transformed, R.Schedule, R.Config.Pim);
     T.addRow({"PIM cell-array rows/bank",
               formatStr("%lld (%.2f%% of capacity)",
                         (long long)WP.RowsPerBankUsed,

@@ -6,16 +6,12 @@
 
 #include "search/Profiler.h"
 
-#include <algorithm>
-#include <cstdio>
-
 #include "obs/Counters.h"
 #include "obs/FlightRecorder.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "search/LayerExtract.h"
 #include "support/Format.h"
-#include "support/StringUtil.h"
 #include "transform/MdDpSplitPass.h"
 #include "transform/PipelinePass.h"
 
@@ -232,50 +228,4 @@ double Profiler::chainGpuNs(const Graph &G,
   for (NodeId Id : Chain)
     Total += gpuNodeNs(G, Id);
   return Total;
-}
-
-bool Profiler::saveCache(const std::string &Path) const {
-  // Collect only resolved entries (an in-flight measurement mid-save would
-  // mean saveCache raced the pre-pass; callers save after search returns).
-  std::vector<std::pair<std::string, double>> Rows;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    for (const auto &[Key, E] : S.Map)
-      if (E->Ready.load(std::memory_order_acquire))
-        Rows.emplace_back(Key, E->Ns);
-  }
-  std::sort(Rows.begin(), Rows.end());
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  // %.17g round-trips doubles exactly through strtod, so a search resumed
-  // from the cache produces bit-identical plans (and byte-identical plan
-  // artifacts) to one that measured everything itself.
-  for (const auto &[Key, Ns] : Rows)
-    std::fprintf(F, "%s\t%.17g\n", Key.c_str(), Ns);
-  std::fclose(F);
-  return true;
-}
-
-bool Profiler::loadCache(const std::string &Path) {
-  std::FILE *F = std::fopen(Path.c_str(), "r");
-  if (!F)
-    return false;
-  char Line[4096];
-  while (std::fgets(Line, sizeof(Line), F)) {
-    std::string S = trim(Line);
-    const size_t Tab = S.rfind('\t');
-    if (Tab == std::string::npos)
-      continue;
-    std::string Key = S.substr(0, Tab);
-    auto E = std::make_shared<Entry>();
-    E->Ns = std::atof(S.c_str() + Tab + 1);
-    E->Ready.store(true, std::memory_order_release);
-    E->Done.set_value(E->Ns);
-    Shard &Sh = shardFor(Key);
-    std::lock_guard<std::mutex> Lock(Sh.Mu);
-    Sh.Map[Key] = std::move(E);
-  }
-  std::fclose(F);
-  return true;
 }

@@ -11,9 +11,11 @@
 /// a micrograph, transformed, and timed on the simulated system.
 ///
 /// Results are memoized by a structural signature (layer shapes, attributes,
-/// mode, and system configuration), mirroring the artifact's metadata log
-/// of profiling results: mobile CNNs repeat identical blocks many times, so
-/// the cache removes most of the (simulated-)hardware measurement cost.
+/// mode, and system configuration) for the lifetime of one profiler, i.e.
+/// one compile: mobile CNNs repeat identical blocks many times, so the memo
+/// removes most of the (simulated-)hardware measurement cost. Nothing is
+/// persisted here; the artifact's on-disk profile log is replaced by the
+/// plan artifact and the plan cache, which store the search's result.
 ///
 /// The memo table is thread-safe and single-flight: the search's candidate
 /// pre-pass (SearchOptions::Jobs > 1) profiles from a worker pool, and two
@@ -70,13 +72,6 @@ public:
   size_t cacheMisses() const {
     return Misses.load(std::memory_order_relaxed);
   }
-
-  /// Serializes the memo table to \p Path ("signature<TAB>ns" lines,
-  /// sorted by signature so the file is byte-identical for every worker
-  /// count).
-  bool saveCache(const std::string &Path) const;
-  /// Loads a memo table previously written by saveCache.
-  bool loadCache(const std::string &Path);
 
 private:
   /// One memo slot. The owner (the thread that inserted the slot) runs the

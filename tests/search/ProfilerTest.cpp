@@ -6,7 +6,6 @@
 
 #include "search/Profiler.h"
 
-#include <cstdio>
 #include <gtest/gtest.h>
 
 #include "ir/Builder.h"
@@ -79,26 +78,6 @@ TEST(ProfilerTest, CacheDeduplicatesIdenticalLayers) {
       P.gpuNodeNs(G, Id);
   EXPECT_GT(P.cacheHits(), 10u);
   EXPECT_LT(P.cacheMisses(), 30u);
-}
-
-TEST(ProfilerTest, CacheSaveLoadRoundTrip) {
-  Graph G = pointwisePair();
-  const std::string Path = ::testing::TempDir() + "pf_profile_cache.tsv";
-  double Gpu, Pim;
-  {
-    Profiler P(SystemConfig::dual());
-    Gpu = P.gpuNodeNs(G, firstConv(G));
-    Pim = P.pimNodeNs(G, firstConv(G));
-    ASSERT_TRUE(P.saveCache(Path));
-  }
-  {
-    Profiler P(SystemConfig::dual());
-    ASSERT_TRUE(P.loadCache(Path));
-    EXPECT_NEAR(P.gpuNodeNs(G, firstConv(G)), Gpu, 1e-3);
-    EXPECT_NEAR(P.pimNodeNs(G, firstConv(G)), Pim, 1e-3);
-    EXPECT_EQ(P.cacheMisses(), 0u);
-  }
-  std::remove(Path.c_str());
 }
 
 TEST(ProfilerTest, DifferentConfigsDifferentCacheKeys) {

@@ -110,7 +110,7 @@ for B in BENCH_fig09_main BENCH_fig10_layerwise BENCH_micro; do
   ./build/tools/pf_check diff "bench/baselines/$B.json" "$PERF_DIR/$B.json"
 done
 for NET in toy resnet-18; do
-  ./build/tools/pimflow -m=run -n="$NET" --dir="$PERF_DIR" \
+  ./build/tools/pimflow -m=run -n="$NET" \
     --perf-report="$PERF_DIR/$NET.perf.json" > /dev/null
   # A report never regresses against itself...
   ./build/tools/pf_check diff "$PERF_DIR/$NET.perf.json" \
@@ -129,7 +129,7 @@ echo "== tier 6: telemetry — metrics exposition + flight recorder =="
 TEL_DIR=build/telemetry-smoke
 mkdir -p "$TEL_DIR"
 # A faulted (recovered) chaos run exporting both telemetry artifacts.
-./build/tools/pimflow -m=run -n=toy --dir="$TEL_DIR" \
+./build/tools/pimflow -m=run -n=toy \
   --faults=chaos --fault-seed=7 \
   --metrics-out="$TEL_DIR/toy.metrics.txt" \
   --flight-dump="$TEL_DIR/toy.flight.txt" \
@@ -152,7 +152,7 @@ grep -qE 'kind=(retry|channel-remap|floor-fallback|node-fallback|channel-dead|wa
 ./build/tools/pimflow -m=solve -n=toy --dir="$TEL_DIR" > /dev/null
 rm -f "$TEL_DIR/toy.crash.txt"
 if ./build/tools/pimflow -m=run -n=toy \
-  --graph="$TEL_DIR/toy.pimflow.graph" --dir="$TEL_DIR" \
+  --graph="$TEL_DIR/toy.pimflow.graph" \
   --faults=dead:0 --no-recovery \
   --flight-dump="$TEL_DIR/toy.crash.txt" > /dev/null 2>&1; then
   echo "error: --no-recovery run with a dead channel did not fail" >&2
@@ -171,15 +171,15 @@ rm -rf "$PLAN_DIR"
 mkdir -p "$PLAN_DIR"
 # Compile once, validate the artifact, and prove it matches the committed
 # golden byte for byte.
-./build/tools/pimflow compile toy --dir="$PLAN_DIR" \
+./build/tools/pimflow compile toy \
   --plan-out="$PLAN_DIR/toy.plan" > /dev/null
 ./build/tools/pf_check plan "$PLAN_DIR/toy.plan" > /dev/null
 cmp "$PLAN_DIR/toy.plan" tools/testdata/toy.plan
 # Replay determinism: the replayed run's execution line is byte-identical
 # to a fresh compile-and-run of the same model.
-./build/tools/pimflow -m=run -n=toy --dir="$PLAN_DIR" \
+./build/tools/pimflow -m=run -n=toy \
   | grep 'us end-to-end' > "$PLAN_DIR/fresh.out"
-./build/tools/pimflow run toy --dir="$PLAN_DIR" \
+./build/tools/pimflow run toy \
   --plan="$PLAN_DIR/toy.plan" \
   --metrics-out="$PLAN_DIR/replay.metrics.txt" \
   | grep 'us end-to-end' > "$PLAN_DIR/replay.out"
@@ -192,16 +192,16 @@ if grep -qE '^pimflow_(search|profiler)_' "$PLAN_DIR/replay.metrics.txt"; then
   exit 1
 fi
 # The content-addressed cache: a second compile of the same key hits.
-./build/tools/pimflow compile toy --dir="$PLAN_DIR" \
+./build/tools/pimflow compile toy \
   --plan-cache-dir="$PLAN_DIR/cache" > /dev/null
-./build/tools/pimflow compile toy --dir="$PLAN_DIR" \
+./build/tools/pimflow compile toy \
   --plan-cache-dir="$PLAN_DIR/cache" \
   --metrics-out="$PLAN_DIR/cached.metrics.txt" > /dev/null
 grep -q '^pimflow_plan_cache_hit 1' "$PLAN_DIR/cached.metrics.txt"
 # Corruption matrix: every damaged artifact is rejected non-zero with the
 # right diagnostic slug, never executed and never silently re-searched.
 reject() { # <slug> <artifact>
-  if ./build/tools/pimflow run toy --dir="$PLAN_DIR" --plan="$2" \
+  if ./build/tools/pimflow run toy --plan="$2" \
     > /dev/null 2> "$PLAN_DIR/reject.err"; then
     echo "error: corrupted artifact $2 was accepted" >&2
     exit 1
@@ -218,7 +218,7 @@ sed '2s/./X/' "$PLAN_DIR/toy.plan" > "$PLAN_DIR/flipped.plan"
 reject 'plan\.corrupt' "$PLAN_DIR/flipped.plan"
 sed '1s/ v1 / v99 /' "$PLAN_DIR/toy.plan" > "$PLAN_DIR/skewed.plan"
 reject 'plan\.version' "$PLAN_DIR/skewed.plan"
-if ./build/tools/pimflow run mnasnet-1.0 --dir="$PLAN_DIR" \
+if ./build/tools/pimflow run mnasnet-1.0 \
   --plan="$PLAN_DIR/toy.plan" > /dev/null 2> "$PLAN_DIR/mismatch.err"; then
   echo "error: wrong-model replay was accepted" >&2
   exit 1

@@ -6,19 +6,20 @@
 ///
 /// \file
 /// The top-level driver mirroring the artifact's `pimflow` script
-/// (Appendix A.5's three-step workflow):
+/// (Appendix A.5's workflow):
 ///
-///   Step 1: profile candidate layers / pipelining subgraphs
-///     pimflow -m=profile -t=split    -n=<net>
-///     pimflow -m=profile -t=pipeline -n=<net>
-///   Step 2: compute the optimal graph from the profiles
-///     pimflow -m=solve -n=<net>
-///   Step 3: execute the transformed model
-///     pimflow -m=run -n=<net> [--gpu_only] [--policy=<mech>]
+///   Profile the candidates and compute the optimal graph
+///     pimflow -m=solve -n=<net> [--dir=<path>]
+///   Execute the transformed model
+///     pimflow -m=run -n=<net> --graph=<path>/<net>.pimflow.graph
+///   or compile once and replay the persisted search result
+///     pimflow compile <net> --plan-out=<file>
+///     pimflow run <net> --plan=<file> [--gpu_only] [--policy=<mech>]
 ///
-/// Profiling results persist in a metadata log (profile_<net>.tsv in
-/// --dir, default '.') so later steps reuse them, exactly as the artifact
-/// stores layerwise/pipeline measurements. Hardware knobs:
+/// Profiling happens inside each compile and is memoized for that compile
+/// only; the plan artifact (--plan-out / --plan-cache-dir) is the one
+/// persisted search result, so every plan, output and counter depends only
+/// on the command's arguments. Hardware knobs:
 ///   --pim-channels=N  --stages=N  --autotune  --no-memopt
 /// Compile-time knobs:
 ///   --jobs=N  profiling worker threads (default: all hardware threads;
@@ -74,7 +75,6 @@
 #include "support/Format.h"
 #include "support/Log.h"
 #include "support/StringUtil.h"
-#include "support/ThreadPool.h"
 #include "support/Table.h"
 #include "transform/PatternMatch.h"
 
@@ -83,12 +83,11 @@ using namespace pf;
 namespace {
 
 struct CliOptions {
-  std::string Mode;            // profile | solve | run | trace | compile
-  std::string ProfileTarget;   // split | pipeline
+  std::string Mode; // solve | run | trace | compile | report | serve
   std::string Net = "toy";
   bool NetSet = false; // a positional or -n= net was given explicitly
-  std::string Dir = ".";
-  std::string Policy = "PIMFlow";
+  std::string Dir;     // --dir=<path>: solve/trace output directory.
+  OffloadPolicy Policy = OffloadPolicy::PimFlow; // --policy / --gpu_only
   std::string GraphFile; // -m=run --graph=<file>: skip search, execute.
   std::string TraceOut;  // --trace-out=<file>: Chrome trace-event JSON.
   std::string PerfReport; // --perf-report=<file>: run-level report JSON.
@@ -111,7 +110,6 @@ struct CliOptions {
   int BreakerThreshold = 2;  // serve --breaker-threshold=K trip point.
   int BreakerCooldownUs = 500; // serve --breaker-cooldown-us=N probe gap.
   int Verbose = 0;
-  bool GpuOnly = false;
   bool Stats = false;
   bool Verify = false; // --verify: run the graph verifier on inputs/outputs.
   bool ReportMetrics = false; // report --metrics: metrics section only.
@@ -132,8 +130,7 @@ struct CliOptions {
 void usage() {
   std::fprintf(
       stderr,
-      "usage: pimflow -m=<profile|solve|run|trace|compile> "
-      "[-t=<split|pipeline>] -n=<net>\n"
+      "usage: pimflow -m=<solve|run|trace|compile> -n=<net>\n"
       "       pimflow <verb> <net|graph-file>   (subcommand spelling; net "
       "may be a .graph path)\n"
       "       pimflow compile <net> --plan-out=<file> [--plan-cache-dir=<"
@@ -154,7 +151,9 @@ void usage() {
       "keep full traces / report segments)\n"
       "               (serve --faults also takes windowed outages: "
       "dead@<t1>..<t2>:<ch> in virtual us)\n"
-      "               [--gpu_only] [--policy=<mechanism>] [--dir=<path>]\n"
+      "               [--gpu_only] [--policy=<mechanism>]\n"
+      "               [--dir=<path>]   (solve: transformed graph; trace: "
+      "command traces; default '.')\n"
       "               [--graph=<solved.pimflow.graph>]\n"
       "               [--pim-channels=N] [--stages=N] [--autotune] "
       "[--no-memopt] [--stats]\n"
@@ -198,15 +197,27 @@ bool parseIntOption(const std::string &Arg, const std::string &Val,
   return true;
 }
 
+/// Resolves a `--policy=` mechanism name; unknown names are cli.bad-option.
+bool parsePolicy(const std::string &Name, OffloadPolicy &Out,
+                 DiagnosticEngine &DE) {
+  for (OffloadPolicy P : allPolicies())
+    if (Name == policyName(P)) {
+      Out = P;
+      return true;
+    }
+  DE.error(DiagCode::BadOption, "--policy",
+           formatStr("unknown mechanism '%s'", Name.c_str()));
+  return false;
+}
+
 bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
   bool Ok = true;
+  bool GpuOnly = false;
   for (int I = 1; I < Argc; ++I) {
     const std::string Arg = Argv[I];
     auto Val = [&Arg]() { return Arg.substr(Arg.find('=') + 1); };
     if (startsWith(Arg, "-m="))
       O.Mode = Val();
-    else if (startsWith(Arg, "-t="))
-      O.ProfileTarget = Val();
     else if (startsWith(Arg, "-n=")) {
       O.Net = Val();
       O.NetSet = true;
@@ -214,9 +225,9 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
     else if (startsWith(Arg, "--dir="))
       O.Dir = Val();
     else if (startsWith(Arg, "--policy="))
-      O.Policy = Val();
+      Ok &= parsePolicy(Val(), O.Policy, DE);
     else if (Arg == "--gpu_only")
-      O.GpuOnly = true;
+      GpuOnly = true;
     else if (Arg == "--stats")
       O.Stats = true;
     else if (startsWith(Arg, "--graph="))
@@ -307,9 +318,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
     else if (Arg == "--no-memopt")
       O.Flow.MemoryOptimizer = false;
     else if (O.Mode.empty() && !startsWith(Arg, "-") &&
-             (Arg == "profile" || Arg == "solve" || Arg == "run" ||
-              Arg == "trace" || Arg == "compile" || Arg == "report" ||
-              Arg == "serve"))
+             (Arg == "solve" || Arg == "run" || Arg == "trace" ||
+              Arg == "compile" || Arg == "report" || Arg == "serve"))
       // Subcommand spelling: `pimflow compile toy` == `-m=compile -n=toy`.
       O.Mode = Arg;
     else if (O.Mode == "report" && O.ReportFile.empty() &&
@@ -328,13 +338,30 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
       Ok = false;
     }
   }
-  if (O.Mode != "profile" && O.Mode != "solve" && O.Mode != "run" &&
-      O.Mode != "trace" && O.Mode != "compile" && O.Mode != "report" &&
-      O.Mode != "serve") {
+  if (O.Mode != "solve" && O.Mode != "run" && O.Mode != "trace" &&
+      O.Mode != "compile" && O.Mode != "report" && O.Mode != "serve") {
     DE.error(DiagCode::BadOption, "-m",
-             "must be profile, solve, run, trace, compile, report or serve");
+             "must be solve, run, trace, compile, report or serve");
     Ok = false;
   }
+  // --gpu_only wins over --policy in every mode, so the policy is resolved
+  // here once.
+  if (GpuOnly)
+    O.Policy = OffloadPolicy::GpuOnly;
+  if (!O.Dir.empty() && O.Mode != "solve" && O.Mode != "trace") {
+    DE.error(DiagCode::BadOption, "--dir",
+             "is only meaningful with solve (transformed graph) or trace "
+             "(command traces); other modes write only the files named by "
+             "their own flags");
+    Ok = false;
+  }
+  if (O.Dir.empty())
+    O.Dir = ".";
+  // A malformed fault spec is rejected before any compile, in every mode
+  // (serve's windowed outages use the same grammar).
+  if (!O.Flow.FaultSpec.empty() && O.Flow.FaultSpec != "chaos" &&
+      !FaultModel::parse(O.Flow.FaultSpec, DE))
+    Ok = false;
   if (O.Mode == "serve") {
     // -n= spelling still works for a single tenant; with nothing given,
     // serve the default net so smoke runs stay one-liners.
@@ -399,11 +426,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O, DiagnosticEngine &DE) {
              "expects the path of a --perf-report JSON file");
     Ok = false;
   }
-  if (O.Mode == "profile" && O.ProfileTarget != "split" &&
-      O.ProfileTarget != "pipeline") {
-    DE.error(DiagCode::BadOption, "-t", "must be split or pipeline");
-    Ok = false;
-  }
   return Ok;
 }
 
@@ -419,25 +441,6 @@ int verifyGraphCli(const Graph &G, const CliOptions &O, const char *What) {
   std::fprintf(stderr, "error: %s '%s' failed verification:\n%s", What,
                G.name().c_str(), DE.render().c_str());
   return 1;
-}
-
-OffloadPolicy policyFromName(const std::string &Name) {
-  for (OffloadPolicy P : allPolicies())
-    if (Name == policyName(P))
-      return P;
-  std::fprintf(stderr, "warning: unknown policy '%s', using PIMFlow\n",
-               Name.c_str());
-  return OffloadPolicy::PimFlow;
-}
-
-std::string cachePath(const CliOptions &O) {
-  // The net may be a graph-file path; flatten separators so the profile
-  // log still lands inside --dir.
-  std::string Net = O.Net;
-  for (char &C : Net)
-    if (C == '/' || C == '\\')
-      C = '_';
-  return O.Dir + "/profile_" + Net + ".tsv";
 }
 
 /// Resolves the `-n=` / positional net argument: a model-zoo name, or a
@@ -525,54 +528,6 @@ void printRecovery(const RecoverySummary &R) {
     std::printf("  - %s\n", Note.c_str());
 }
 
-int runProfile(const CliOptions &O) {
-  auto Maybe = resolveModel(O.Net);
-  if (!Maybe)
-    return 2;
-  Graph Model = std::move(*Maybe);
-  Profiler P(systemConfigFor(OffloadPolicy::PimFlow, O.Flow));
-  P.loadCache(cachePath(O)); // Resume previous profiling if present.
-
-  if (O.ProfileTarget == "split") {
-    SearchOptions S = searchOptionsFor(OffloadPolicy::PimFlowMd, O.Flow);
-    S.RefineRatios = O.Flow.AutoTuneRatios;
-    SearchEngine Engine(P, S);
-    ExecutionPlan Plan = Engine.search(Model);
-    std::printf("profiled %zu PIM-candidate layers at %s ratio "
-                "granularity\n",
-                Plan.Layers.size(), O.Flow.AutoTuneRatios ? "2%" : "10%");
-  } else {
-    const std::vector<PipelineCandidate> Cands =
-        findPipelineCandidates(Model);
-    ThreadPool Pool(O.Flow.SearchJobs < 0
-                        ? 0
-                        : static_cast<unsigned>(O.Flow.SearchJobs));
-    Pool.parallelFor(Cands.size(), [&](size_t I) {
-      P.pipelineNs(Model, Cands[I].Chain, O.Flow.PipelineStages);
-    });
-    std::printf("profiled %zu pipelining candidate subgraphs (%d stages)\n",
-                Cands.size(), O.Flow.PipelineStages);
-  }
-  std::printf("measurements: %zu new, %zu from cache\n", P.cacheMisses(),
-              P.cacheHits());
-  if (!P.saveCache(cachePath(O))) {
-    std::fprintf(stderr, "error: cannot write %s\n", cachePath(O).c_str());
-    return 1;
-  }
-  std::printf("profile log written to %s\n", cachePath(O).c_str());
-  if (!O.TraceOut.empty()) {
-    // No execution timeline in profile mode: export the compile spans only.
-    if (!obs::writeTextFile(
-            O.TraceOut,
-            obs::renderCompileTrace(obs::Tracer::instance().snapshot()))) {
-      std::fprintf(stderr, "error: cannot write %s\n", O.TraceOut.c_str());
-      return 1;
-    }
-    std::printf("Chrome trace written to %s\n", O.TraceOut.c_str());
-  }
-  return 0;
-}
-
 int runSolve(const CliOptions &O) {
   auto Maybe = resolveModel(O.Net);
   if (!Maybe)
@@ -580,8 +535,7 @@ int runSolve(const CliOptions &O) {
   Graph Model = std::move(*Maybe);
   if (const int Rc = verifyGraphCli(Model, O, "model"))
     return Rc;
-  PimFlow Flow(policyFromName(O.Policy), O.Flow);
-  Flow.profiler().loadCache(cachePath(O));
+  PimFlow Flow(O.Policy, O.Flow);
   CompileResult R = Flow.compileAndRun(Model);
 
   std::printf("optimal execution plan for %s (%s):\n", O.Net.c_str(),
@@ -612,7 +566,6 @@ int runSolve(const CliOptions &O) {
     std::printf("\ntransformed graph written to %s (reload with "
                 "pf::loadGraph)\n",
                 GraphPath.c_str());
-  Flow.profiler().saveCache(cachePath(O));
   return exportObservability(O, R);
 }
 
@@ -629,13 +582,10 @@ int runExecuteGraphFile(const CliOptions &O) {
   // Graph files are hand-editable: verify before executing when asked.
   if (const int Rc = verifyGraphCli(*Loaded, O, "graph file"))
     return Rc;
-  const SystemConfig Config =
-      systemConfigFor(O.GpuOnly ? OffloadPolicy::GpuOnly
-                                : policyFromName(O.Policy),
-                      O.Flow);
+  const SystemConfig Config = systemConfigFor(O.Policy, O.Flow);
   // No search ran: assemble the result the printers/exporters need by hand.
   CompileResult R;
-  R.Policy = O.GpuOnly ? OffloadPolicy::GpuOnly : policyFromName(O.Policy);
+  R.Policy = O.Policy;
   R.Config = Config;
   R.Transformed = std::move(*Loaded);
   if (O.Flow.FaultSpec.empty()) {
@@ -647,14 +597,7 @@ int runExecuteGraphFile(const CliOptions &O) {
     // deterministic trigger for the flight recorder's auto-dump (ci.sh
     // tier 6 relies on this).
     DiagnosticEngine DE;
-    switch (executeWithFaults(R, O.Flow, DE, !O.NoRecovery)) {
-    case FaultExecStatus::Ok:
-      break;
-    case FaultExecStatus::BadSpec:
-      std::fprintf(stderr, "error: bad --faults spec:\n%s",
-                   DE.render().c_str());
-      return 2;
-    case FaultExecStatus::Failed:
+    if (!executeWithFaults(R, O.Flow, DE, !O.NoRecovery)) {
       std::fprintf(stderr,
                    O.NoRecovery
                        ? "error: execution failed under --no-recovery:\n%s"
@@ -682,14 +625,11 @@ int runCompile(const CliOptions &O) {
   Graph Model = std::move(*Maybe);
   if (const int Rc = verifyGraphCli(Model, O, "model"))
     return Rc;
-  const OffloadPolicy Policy =
-      O.GpuOnly ? OffloadPolicy::GpuOnly : policyFromName(O.Policy);
-  PimFlow Flow(Policy, O.Flow);
-  Flow.profiler().loadCache(cachePath(O));
+  PimFlow Flow(O.Policy, O.Flow);
   const ExecutionPlan Plan = Flow.plan(Model);
   const PlanKey Key = Flow.planKey(Model);
   std::printf("compiled %s under %s: %zu segments, %.2f us predicted\n",
-              O.Net.c_str(), policyName(Policy), Plan.Segments.size(),
+              O.Net.c_str(), policyName(O.Policy), Plan.Segments.size(),
               Plan.PredictedNs / 1e3);
   std::printf("plan key: %s\n", Key.digest().c_str());
   if (!O.PlanOut.empty()) {
@@ -705,7 +645,6 @@ int runCompile(const CliOptions &O) {
     std::printf("plan cache %s: %zu hit(s), %zu miss(es), %zu store(s)\n",
                 Cache->dir().c_str(), Cache->hits(), Cache->misses(),
                 Cache->stores());
-  Flow.profiler().saveCache(cachePath(O));
   if (!O.MetricsOut.empty()) {
     if (!obs::writeMetricsText(O.MetricsOut)) {
       std::fprintf(stderr, "error: cannot write %s\n", O.MetricsOut.c_str());
@@ -728,9 +667,7 @@ int runReplay(const CliOptions &O) {
   Graph Model = std::move(*Maybe);
   if (const int Rc = verifyGraphCli(Model, O, "model"))
     return Rc;
-  const OffloadPolicy Policy =
-      O.GpuOnly ? OffloadPolicy::GpuOnly : policyFromName(O.Policy);
-  PimFlow Flow(Policy, O.Flow);
+  PimFlow Flow(O.Policy, O.Flow);
 
   DiagnosticEngine DE;
   auto Artifact = loadPlanArtifact(O.PlanIn, DE);
@@ -749,7 +686,7 @@ int runReplay(const CliOptions &O) {
   CompileResult R = Flow.executePlan(Model, std::move(Artifact->Plan));
 
   std::printf("%s on %s: %.2f us end-to-end, %.2f uJ\n",
-              policyName(Policy), O.Net.c_str(), R.endToEndNs() / 1e3,
+              policyName(O.Policy), O.Net.c_str(), R.endToEndNs() / 1e3,
               R.energyJ() * 1e6);
   std::printf("replayed plan %s (search skipped)\n", O.PlanIn.c_str());
   printRecovery(R.Recovery);
@@ -767,14 +704,11 @@ int runExecute(const CliOptions &O) {
   Graph Model = std::move(*Maybe);
   if (const int Rc = verifyGraphCli(Model, O, "model"))
     return Rc;
-  const OffloadPolicy Policy =
-      O.GpuOnly ? OffloadPolicy::GpuOnly : policyFromName(O.Policy);
-  PimFlow Flow(Policy, O.Flow);
-  Flow.profiler().loadCache(cachePath(O));
+  PimFlow Flow(O.Policy, O.Flow);
   CompileResult R = Flow.compileAndRun(Model);
 
   std::printf("%s on %s: %.2f us end-to-end, %.2f uJ\n",
-              policyName(Policy), O.Net.c_str(), R.endToEndNs() / 1e3,
+              policyName(O.Policy), O.Net.c_str(), R.endToEndNs() / 1e3,
               R.energyJ() * 1e6);
   printRecovery(R.Recovery);
   // Export before the baseline comparison below: its second compileAndRun
@@ -782,13 +716,12 @@ int runExecute(const CliOptions &O) {
   // run being reported.
   if (const int Rc = exportObservability(O, R))
     return Rc;
-  if (!O.GpuOnly) {
+  if (O.Policy != OffloadPolicy::GpuOnly) {
     PimFlow Base(OffloadPolicy::GpuOnly, O.Flow);
     CompileResult BR = Base.compileAndRun(Model);
     std::printf("GPU baseline: %.2f us -> %.2fx speedup\n",
                 BR.endToEndNs() / 1e3, BR.endToEndNs() / R.endToEndNs());
   }
-  Flow.profiler().saveCache(cachePath(O));
   return 0;
 }
 
@@ -801,8 +734,7 @@ int runTrace(const CliOptions &O) {
   Graph Model = std::move(*Maybe);
   if (const int Rc = verifyGraphCli(Model, O, "model"))
     return Rc;
-  PimFlow Flow(policyFromName(O.Policy), O.Flow);
-  Flow.profiler().loadCache(cachePath(O));
+  PimFlow Flow(O.Policy, O.Flow);
   CompileResult R = Flow.compileAndRun(Model);
 
   PimCommandGenerator Gen(R.Config.Pim, R.Config.Codegen);
@@ -894,7 +826,7 @@ int runServe(const CliOptions &O) {
   }
 
   serve::ServerOptions SO;
-  SO.Policy = O.GpuOnly ? OffloadPolicy::GpuOnly : policyFromName(O.Policy);
+  SO.Policy = O.Policy;
   SO.Flow = O.Flow;
   SO.MaxInflight = O.MaxInflight;
   SO.MaxQueue = O.MaxQueue;
@@ -919,12 +851,9 @@ int runServe(const CliOptions &O) {
           1e3);
       SO.Faults =
           FaultModel::chaosTimeline(O.Flow.FaultSeed, Pool, HorizonNs);
-    } else if (auto Parsed = FaultModel::parse(O.Flow.FaultSpec, DE)) {
-      SO.Faults = *std::move(Parsed);
     } else {
-      std::fprintf(stderr, "error: bad --faults spec:\n%s",
-                   DE.render().c_str());
-      return 2;
+      // parseArgs already rejected a malformed spec.
+      SO.Faults = *FaultModel::parse(O.Flow.FaultSpec, DE);
     }
   }
   // --jobs=0 (the driver default) means every hardware thread, matching
@@ -1010,8 +939,6 @@ int main(int Argc, char **Argv) {
   int Rc;
   if (O.Mode == "report")
     Rc = runReport(O);
-  else if (O.Mode == "profile")
-    Rc = runProfile(O);
   else if (O.Mode == "solve")
     Rc = runSolve(O);
   else if (O.Mode == "trace")
