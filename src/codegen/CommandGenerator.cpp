@@ -92,51 +92,68 @@ void recordPlanCounters(const PimKernelPlan &Plan) {
   }
 }
 
-} // namespace
+/// One channel's share of a kernel under a channel partitioning.
+struct ChannelShare {
+  int64_t RowsPerPart = 0;
+  int64_t RowsPerBank = 0;
+  /// Buffers used per pass.
+  int64_t B = 0;
+  int64_t PassesPerPart = 0;
+  int64_t KPart = 0;
+  int64_t NumTiles = 0;
+  /// Partial results drain after every K-tile (result-latch pressure).
+  bool DrainPerTile = false;
+};
 
-PimKernelPlan
-PimCommandGenerator::planWithMapping(const PimKernelSpec &Spec,
-                                     int ChannelsForM, int ChannelsForV,
-                                     int ChannelsForK) const {
+ChannelShare shareOf(const PimConfig &Config, const PimKernelSpec &Spec,
+                     const PimMapping &Mapping) {
   PF_ASSERT(Spec.valid(), "invalid PIM kernel spec");
-  PF_ASSERT(ChannelsForM >= 1 && ChannelsForV >= 1 && ChannelsForK >= 1,
+  PF_ASSERT(Mapping.ChannelsForM >= 1 && Mapping.ChannelsForV >= 1 &&
+                Mapping.ChannelsForK >= 1,
             "channel partition factors must be positive");
-  PF_ASSERT(ChannelsForM * ChannelsForV * ChannelsForK <= Config.Channels,
+  PF_ASSERT(Mapping.channels() <= Config.Channels,
             "channel partition exceeds the PIM channel count");
-
-  const int64_t Banks = Config.BanksPerChannel;
-  const int64_t ElemsPerComp = Config.elementsPerComp();
-  const int64_t BufElems = Config.bufferElements();
-
+  ChannelShare S;
   // Work shares of one channel (ceil everywhere: every channel is priced as
   // the worst-case channel, keeping the estimate conservative).
-  const int64_t RowsPerPart = ceilDiv(Spec.M, ChannelsForM);
+  S.RowsPerPart = ceilDiv(Spec.M, Mapping.ChannelsForM);
   // Matrix rows are interleaved across the channel's banks; the weight
   // layout packs each bank's share densely, so one activated DRAM row
   // serves ColumnIOsPerRow consecutive column computes regardless of how
   // short the individual dot products are.
-  const int64_t RowsPerBank = ceilDiv(RowsPerPart, Banks);
+  S.RowsPerBank = ceilDiv(S.RowsPerPart, Config.BanksPerChannel);
   // Buffers used per pass: the largest supported GWRITE width (1/2/4) that
   // the vector count can fill.
-  int64_t B = std::min<int64_t>(Config.NumGlobalBuffers, Spec.NumVectors);
-  if (B == 3)
-    B = 2;
-  const int64_t PassesTotal = ceilDiv(Spec.NumVectors, B);
-  const int64_t PassesPerPart = ceilDiv(PassesTotal, ChannelsForV);
-  const int64_t KPart = ceilDiv(Spec.K, ChannelsForK);
-  const int64_t NumTiles = ceilDiv(KPart, BufElems);
-
+  S.B = std::min<int64_t>(Config.NumGlobalBuffers, Spec.NumVectors);
+  if (S.B == 3)
+    S.B = 2;
+  const int64_t PassesTotal = ceilDiv(Spec.NumVectors, S.B);
+  S.PassesPerPart = ceilDiv(PassesTotal, Mapping.ChannelsForV);
+  S.KPart = ceilDiv(Spec.K, Mapping.ChannelsForK);
+  S.NumTiles = ceilDiv(S.KPart, Config.bufferElements());
   // Result-latch pressure: each bank accumulates RowsPerBank x B partial
   // sums across the K-tiles. When that exceeds the latch count, partial
   // results must drain after every tile and be merged outside the memory.
-  const bool DrainPerTile =
-      NumTiles > 1 && RowsPerBank * B > Config.ResultLatchesPerBank;
+  S.DrainPerTile = S.NumTiles > 1 &&
+                   S.RowsPerBank * S.B > Config.ResultLatchesPerBank;
+  return S;
+}
+
+} // namespace
+
+DeviceTrace PimCommandGenerator::traceFor(const PimKernelSpec &Spec,
+                                          const PimMapping &Mapping) const {
+  const ChannelShare S = shareOf(Config, Spec, Mapping);
+  const int64_t ElemsPerComp = Config.elementsPerComp();
+  const int64_t BufElems = Config.bufferElements();
+  const int64_t B = S.B;
 
   // Build the per-pass command pattern of one channel.
   std::vector<PimCommand> Pattern;
-  for (int64_t T = 0; T < NumTiles; ++T) {
-    const int64_t TileElems =
-        T + 1 < NumTiles ? BufElems : KPart - (NumTiles - 1) * BufElems;
+  for (int64_t T = 0; T < S.NumTiles; ++T) {
+    const int64_t TileElems = T + 1 < S.NumTiles
+                                  ? BufElems
+                                  : S.KPart - (S.NumTiles - 1) * BufElems;
     const int64_t BurstsPerBuffer =
         ceilDiv(TileElems * 2, Config.BurstBytes);
     // Fetch the B input-vector tiles into the global buffers. Without the
@@ -149,7 +166,7 @@ PimCommandGenerator::planWithMapping(const PimKernelSpec &Spec,
       const int64_t Segments =
           std::min<int64_t>(Spec.GwriteSegments, BurstsPerBuffer);
       const int64_t BurstsPerSegment = ceilDiv(BurstsPerBuffer, Segments);
-      for (int64_t S = 0; S < Segments; ++S)
+      for (int64_t Seg = 0; Seg < Segments; ++Seg)
         Pattern.push_back(
             PimCommand::gwrite(BurstsPerSegment, static_cast<int>(B)));
     }
@@ -158,40 +175,47 @@ PimCommandGenerator::planWithMapping(const PimKernelSpec &Spec,
     // ceil(TileElems/16) column I/Os each. Activations are shared across
     // the B buffered vectors — the multi-buffer G_ACT reuse.
     const int64_t ColumnsPerBank =
-        RowsPerBank * ceilDiv(TileElems, ElemsPerComp);
+        S.RowsPerBank * ceilDiv(TileElems, ElemsPerComp);
     const int64_t GActs = ceilDiv(ColumnsPerBank, Config.ColumnIOsPerRow);
     Pattern.push_back(PimCommand::gact(GActs));
     Pattern.push_back(PimCommand::comp(B * ColumnsPerBank));
-    if (DrainPerTile)
+    if (S.DrainPerTile)
       Pattern.push_back(
-          PimCommand::readRes(B * ceilDiv(RowsPerPart, ElemsPerComp)));
+          PimCommand::readRes(B * ceilDiv(S.RowsPerPart, ElemsPerComp)));
   }
   // Drain the accumulated results: each 32B READRES carries 16 fp16
   // partial outputs; every buffered vector drains its RowsPerPart results.
-  if (!DrainPerTile)
+  if (!S.DrainPerTile)
     Pattern.push_back(
-        PimCommand::readRes(B * ceilDiv(RowsPerPart, ElemsPerComp)));
+        PimCommand::readRes(B * ceilDiv(S.RowsPerPart, ElemsPerComp)));
 
+  DeviceTrace Trace(Config.Channels);
+  for (int C = 0; C < Mapping.channels(); ++C)
+    Trace.Channels[static_cast<size_t>(C)].Blocks.push_back(
+        CommandBlock{Pattern, S.PassesPerPart});
+  return Trace;
+}
+
+PimKernelPlan
+PimCommandGenerator::planWithMapping(const PimKernelSpec &Spec,
+                                     int ChannelsForM, int ChannelsForV,
+                                     int ChannelsForK) const {
   PimKernelPlan Plan;
   Plan.ChannelsForM = ChannelsForM;
   Plan.ChannelsForV = ChannelsForV;
   Plan.ChannelsForK = ChannelsForK;
-  Plan.Trace = DeviceTrace(Config.Channels);
-  for (int C = 0; C < Plan.channels(); ++C)
-    Plan.Trace.Channels[static_cast<size_t>(C)].Blocks.push_back(
-        CommandBlock{Pattern, PassesPerPart});
-
+  Plan.Trace = traceFor(Spec, Plan);
   Plan.Stats = Sim.run(Plan.Trace);
   Plan.Ns = Plan.Stats.Ns;
-  Plan.EffectiveMacs = Spec.totalMacs();
 
   // Partial sums — from COMP-granularity K-splits across channels and from
   // latch-pressure per-tile drains — are merged by a lightweight
   // elementwise add on the GPU side; charge the merge traffic at the
   // cross-channel rate.
+  const ChannelShare S = shareOf(Config, Spec, Plan);
   int64_t PartialCopies = ChannelsForK - 1;
-  if (DrainPerTile)
-    PartialCopies += NumTiles - 1;
+  if (S.DrainPerTile)
+    PartialCopies += S.NumTiles - 1;
   if (PartialCopies > 0) {
     const double MergeBytes = static_cast<double>(PartialCopies + 1) *
                               static_cast<double>(Spec.M) *

@@ -57,6 +57,9 @@ struct CodegenOptions {
   /// Strided-GWRITE extension: gather a conv window's KH segments with one
   /// command instead of KH commands.
   bool StridedGwrite = true;
+
+  /// Field-wise equality (defaulted: part of the kernel-plan memo's key).
+  bool operator==(const CodegenOptions &) const = default;
 };
 
 /// A channel partitioning the command-scheduling pass chose: (M-partitions,
@@ -81,8 +84,6 @@ struct PimKernelPlan : PimMapping {
   PimRunStats Stats;
   /// Simulated kernel latency in nanoseconds.
   double Ns = 0.0;
-  /// Useful MACs (for the energy model).
-  int64_t EffectiveMacs = 0;
 };
 
 /// Generates and schedules PIM command traces for lowered kernels.
@@ -94,9 +95,17 @@ public:
   const PimConfig &config() const { return Config; }
   const CodegenOptions &options() const { return Options; }
 
+  /// The command-emission half of planWithMapping: the traces of \p Spec
+  /// under \p Mapping's channel partitioning (its channels() must not
+  /// exceed the channel count), one identical stream on each of channels
+  /// [0, Mapping.channels()). Simulates nothing and counts nothing, so a
+  /// caller holding a chosen mapping rebuilds its traces for free.
+  DeviceTrace traceFor(const PimKernelSpec &Spec,
+                       const PimMapping &Mapping) const;
+
   /// Emits traces for \p Spec under a fixed channel partitioning
   /// (ChannelsForM x ChannelsForV x ChannelsForK must not exceed the
-  /// channel count).
+  /// channel count) and simulates them.
   PimKernelPlan planWithMapping(const PimKernelSpec &Spec, int ChannelsForM,
                                 int ChannelsForV, int ChannelsForK) const;
 

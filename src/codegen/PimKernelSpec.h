@@ -42,6 +42,8 @@ struct PimKernelSpec {
   int64_t weightBytes() const { return M * K * 2; }
 
   bool valid() const { return M > 0 && K > 0 && NumVectors > 0; }
+
+  bool operator==(const PimKernelSpec &) const = default;
 };
 
 /// Lowers node \p Id to a PimKernelSpec. The node must be a PIM candidate

@@ -110,6 +110,8 @@ struct DeviceTrace {
       N += C.empty() ? 0 : 1;
     return N;
   }
+
+  bool operator==(const DeviceTrace &) const = default;
 };
 
 } // namespace pf

@@ -100,6 +100,10 @@ struct PimConfig {
   double ReadResEnergyPj = 160.0;  ///< Per READRES (32B over the bus).
   double StaticPowerWPerChannel = 0.05; ///< Background power per channel.
 
+  /// Field-wise equality. Defaulted, so a field added later is part of
+  /// every comparison (the kernel-plan memo keys on it).
+  bool operator==(const PimConfig &) const = default;
+
   //===--------------------------------------------------------------------===
   // Derived quantities
   //===--------------------------------------------------------------------===

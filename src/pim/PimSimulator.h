@@ -67,6 +67,7 @@ struct ChannelPhaseCycles {
   }
 
   ChannelPhaseCycles &operator+=(const ChannelPhaseCycles &O);
+  bool operator==(const ChannelPhaseCycles &) const = default;
 };
 
 /// Per-phase busy cycles of \p Trace under \p Config's timing parameters

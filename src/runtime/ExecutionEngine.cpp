@@ -122,7 +122,6 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
     obs::flightEvent(obs::FlightEventKind::ExecError, 0, -1, -1, 0.0, What);
     obs::FlightRecorder::instance().autoDump(What);
   };
-  PimCommandGenerator Gen(Config.Pim, Config.Codegen);
   PimSimulator Sim(Config.Pim);
 
   // A cyclic dependency set never becomes ready, so Kahn's order comes up
@@ -151,20 +150,28 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
     double BaseNs = 0.0; ///< Duration before contention scaling.
     double EnergyJ = 0.0;
     int Inputs = 0;      ///< Distinct produced input values.
-    size_t Plan = 0;     ///< PIM nodes: index into Plans.
+    size_t Kernel = 0;   ///< PIM nodes: index into Kernels.
+  };
+  // One PIM node's kernel: its memo entry, and on faulted runs the command
+  // trace of the entry's mapping plus the fault-aware run of the latest
+  // scheduling pass, which the kernel record and phase totals describe.
+  struct PimKernel {
+    const KernelPlanEntry *Plan = nullptr;
+    int64_t Macs = 0;
+    DeviceTrace Trace;
+    PimRunStats FaultRun;
   };
   std::vector<NodeInfo> Info(NumNodes);
-  std::vector<PimKernelPlan> Plans;
+  std::vector<PimKernel> Kernels;
   std::vector<uint32_t> PosOf(G.numNodesIncludingDead());
+  KernelPlanner *Planner = Config.hasPim() ? &Config.kernelPlanner() : nullptr;
 
   // Fault-aware PIM timing of \p NI. Runs in both scheduling passes,
   // like every other fault-path effect (counters, flight events, channel
-  // metrics), so a faulted run reports each kernel once per pass. The
-  // fault-aware run replaces the plan's Stats, so the kernel record and
-  // phase totals describe what this pass executed.
+  // metrics), so a faulted run reports each kernel once per pass.
   auto CostFaulted = [&](NodeInfo &NI) {
-    PimKernelPlan &Plan = Plans[NI.Plan];
-    FaultyRunStats FS = Sim.runWithFaults(Plan.Trace, *Faults, *Retry);
+    PimKernel &K = Kernels[NI.Kernel];
+    FaultyRunStats FS = Sim.runWithFaults(K.Trace, *Faults, *Retry);
     if (FS.anyPersistent()) {
       // Recovery must remap or fall back before the engine runs; a
       // persistent fault here would make the timeline silently wrong.
@@ -176,8 +183,8 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
     }
     obs::addCounter("engine.fault_retries", FS.TotalRetries);
     NI.BaseNs = FS.Stats.Ns;
-    NI.EnergyJ = Sim.energyJ(FS.Stats, Plan.EffectiveMacs);
-    Plan.Stats = std::move(FS.Stats);
+    NI.EnergyJ = Sim.energyJ(FS.Stats, K.Macs);
+    K.FaultRun = std::move(FS.Stats);
     return true;
   };
   const bool Faulted = Faults && !Faults->empty();
@@ -196,15 +203,25 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
         FailExec("exec.no-pim-channels");
         return std::nullopt;
       }
-      NI.Plan = Plans.size();
-      Plans.push_back(Gen.plan(lowerToPimSpec(G, N.Id)));
+      const PimKernelSpec Spec = lowerToPimSpec(G, N.Id);
+      NI.Kernel = Kernels.size();
+      PimKernel &K = Kernels.emplace_back();
+      K.Plan = &Planner->plan(Spec);
+      K.Macs = Spec.totalMacs();
       if (Faulted) {
+        K.Trace = Planner->generator().traceFor(Spec, *K.Plan);
         if (!CostFaulted(NI))
           return std::nullopt;
       } else {
-        NI.BaseNs = Plans.back().Ns;
-        NI.EnergyJ = Sim.energyJ(Plans.back().Stats,
-                                 Plans.back().EffectiveMacs);
+        // The fields of the plan's run that the energy model reads.
+        PimRunStats Run;
+        Run.Ns = K.Plan->SimNs;
+        Run.GwriteBursts = K.Plan->GwriteBursts;
+        Run.GActs = K.Plan->GActs;
+        Run.CompColumns = K.Plan->CompColumns;
+        Run.ReadResCmds = K.Plan->ReadResCmds;
+        NI.BaseNs = K.Plan->Ns;
+        NI.EnergyJ = Sim.energyJ(Run, K.Macs);
       }
     } else if (!isFusableEpilogue(N.Kind)) {
       // Elementwise nodes fuse into their producer's epilogue (GPU) or the
@@ -364,8 +381,8 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
     // PIM fetch traffic occupies the shared memory controller; GPU kernels
     // overlapping it slow down proportionally to the fetch-busy fraction.
     double FetchCycles = 0.0;
-    for (const PimKernelPlan &Plan : Plans)
-      FetchCycles += static_cast<double>(Plan.Stats.GwriteBursts) *
+    for (const PimKernel &K : Kernels)
+      FetchCycles += static_cast<double>(K.Plan->GwriteBursts) *
                      static_cast<double>(Config.Pim.TCcdl);
     const double FetchNs = Config.Pim.cyclesToNs(
         static_cast<int64_t>(FetchCycles));
@@ -388,21 +405,28 @@ ExecutionEngine::tryExecute(const Graph &G, DiagnosticEngine &DE,
 
   // What ran on PIM, for the observers: each kernel's mapping and command
   // counts, and per-channel phase cycles of the final pass's runs.
-  TL.PimKernels.reserve(Plans.size());
+  TL.PimKernels.reserve(Kernels.size());
+  auto AddPhases = [&TL](const ChannelPhaseCycles &P) {
+    const size_t Ch = static_cast<size_t>(P.Channel);
+    if (TL.PimPhases.size() <= Ch)
+      TL.PimPhases.resize(Ch + 1);
+    TL.PimPhases[Ch] += P;
+    TL.PimPhases[Ch].Channel = P.Channel;
+  };
   for (const NodeInfo &NI : Info) {
     if (NI.Dev != Device::Pim)
       continue;
-    const PimKernelPlan &Plan = Plans[NI.Plan];
-    const PimRunStats &Run = Plan.Stats;
-    TL.PimKernels.push_back(PimKernelRecord{NI.Id, Plan, Run.GwriteBursts,
-                                            Run.GActs, Run.CompColumns,
-                                            Run.ReadResCmds});
-    for (const ChannelPhaseCycles &P : Run.ChannelPhases) {
-      const size_t Ch = static_cast<size_t>(P.Channel);
-      if (TL.PimPhases.size() <= Ch)
-        TL.PimPhases.resize(Ch + 1);
-      TL.PimPhases[Ch] += P;
-      TL.PimPhases[Ch].Channel = P.Channel;
+    const PimKernel &K = Kernels[NI.Kernel];
+    const KernelPlanEntry &Plan = *K.Plan;
+    TL.PimKernels.push_back(PimKernelRecord{NI.Id, Plan, Plan.GwriteBursts,
+                                            Plan.GActs, Plan.CompColumns,
+                                            Plan.ReadResCmds});
+    if (Faulted) {
+      for (const ChannelPhaseCycles &P : K.FaultRun.ChannelPhases)
+        AddPhases(P);
+    } else {
+      for (int Ch = 0; Ch < Plan.channels(); ++Ch)
+        AddPhases(Plan.phasesOn(Ch));
     }
   }
 

@@ -128,17 +128,20 @@ RecoveryResult RecoveryExecutor::run(const Graph &G,
         // and slow channels merely inflate the node's time; a transient
         // fault outlasting the retry budget demotes just that node.
         // Determinism guarantees the engine's own fault-aware simulation
-        // reaches the same verdict for every node left on PIM.
-        PimCommandGenerator Gen(Degraded.Pim, Degraded.Codegen);
+        // reaches the same verdict for every node left on PIM. The plans
+        // come from the memo the engine reads, so each kernel's mapping
+        // search runs once.
+        KernelPlanner &Planner = Degraded.kernelPlanner();
         PimSimulator Sim(Degraded.Pim);
         std::vector<NodeId> PimNodes;
         for (const Node &N : R.Executed.nodes())
           if (!N.Dead && N.Dev == Device::Pim)
             PimNodes.push_back(N.Id);
         for (NodeId Id : PimNodes) {
-          const PimKernelPlan Plan = Gen.plan(lowerToPimSpec(R.Executed, Id));
-          const FaultyRunStats FS =
-              Sim.runWithFaults(Plan.Trace, Local, Options.Retry);
+          const PimKernelSpec Spec = lowerToPimSpec(R.Executed, Id);
+          const FaultyRunStats FS = Sim.runWithFaults(
+              Planner.generator().traceFor(Spec, Planner.plan(Spec)), Local,
+              Options.Retry);
           const std::string &Name = R.Executed.node(Id).Name;
           if (FS.anyPersistent()) {
             R.Executed.node(Id).Dev = Device::Gpu;

@@ -14,7 +14,9 @@
 #ifndef PIMFLOW_RUNTIME_SYSTEMCONFIG_H
 #define PIMFLOW_RUNTIME_SYSTEMCONFIG_H
 
-#include "codegen/CommandGenerator.h"
+#include <memory>
+
+#include "codegen/KernelPlanMemo.h"
 #include "gpu/GpuConfig.h"
 #include "pim/PimConfig.h"
 #include "support/Diagnostics.h"
@@ -46,6 +48,14 @@ struct SystemConfig {
   /// GPU slowdown per unit of PIM fetch-busy fraction (calibrated so the
   /// end-to-end contention slowdown lands in the paper's 0.1-0.3% range).
   double ContentionFactor = 0.003;
+
+  /// The kernel-plan memo (codegen/KernelPlanMemo.h), created with the
+  /// config and shared by its copies: a PimFlow's profiler, engines and
+  /// recovery, and a server's per-grant configs, plan each kernel once.
+  /// Keyed by the full PimConfig and CodegenOptions, so a copy that changes
+  /// them shares the memo without sharing entries.
+  std::shared_ptr<KernelPlanMemo> KernelPlans =
+      std::make_shared<KernelPlanMemo>();
 
   /// GPU-only baseline: every channel serves the GPU.
   static SystemConfig gpuOnly(int Channels = 32) {
@@ -81,6 +91,11 @@ struct SystemConfig {
   }
 
   bool hasPim() const { return Pim.Channels > 0; }
+
+  /// The memo's planner for this config's Pim and Codegen fields.
+  KernelPlanner &kernelPlanner() const {
+    return KernelPlans->planner(Pim, Codegen);
+  }
 };
 
 /// Validates \p C before it configures a run: channel-grouping consistency

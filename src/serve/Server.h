@@ -19,7 +19,9 @@
 /// completions from the table. Worker threads only re-execute each
 /// admitted request's engine run under its Session's private scope (the
 /// reentrancy exercise, cross-checked against the table); they cannot
-/// influence admission order. A given (models, spec, options) input
+/// influence admission order. Pricing and re-execution read kernel plans
+/// from the one memo of the server's config (codegen/KernelPlanMemo.h), so
+/// a re-execution plans nothing. A given (models, spec, options) input
 /// therefore yields byte-identical summaries for every --jobs=N.
 ///
 /// Admission policy, in order, for a request at the head of the line:

@@ -11,8 +11,10 @@
 #      ir/Verifier.h), so an invariant-breaking transform fails in CI even
 #      when no test inspects the intermediate graph.
 #   3. A ThreadSanitizer tree in build-tsan/ running the concurrency-facing
-#      suites (thread pool, profiler, search) to catch data races in the
-#      parallel candidate-profiling pre-pass.
+#      suites (thread pool, profiler, search, the kernel-plan memo, the
+#      server) to catch data races in the parallel candidate-profiling
+#      pre-pass and in serve's pricing and re-execution threads, which share
+#      one kernel-plan memo.
 #   4. The chaos tier: the seeded fault-schedule suite (tests/chaos/) in the
 #      tier-1 tree, then again under TSan. The seeds are fixed inside the
 #      tests, so a failure always names a reproducible schedule; per-test
@@ -48,8 +50,9 @@
 #      queued expiries shed and late completions classify.
 #  10. The memory/UB tier: the serve + runtime resilience suites, the
 #      execution-engine suites (timeline goldens included), the PIM
-#      simulator suite and the observers that index the engine's kernel
-#      records (attribution, report, Chrome trace) rebuilt and re-run
+#      simulator suite, the kernel-plan memo suite and the observers that
+#      index the engine's kernel records (attribution, report, Chrome
+#      trace) rebuilt and re-run
 #      under AddressSanitizer and
 #      UndefinedBehaviorSanitizer (PIMFLOW_SANITIZE=address|undefined;
 #      UBSan findings are fatal).
@@ -88,9 +91,9 @@ ctest --test-dir build-checked --output-on-failure -j "$JOBS"
 echo "== tier 3: ThreadSanitizer on the concurrency-facing suites =="
 cmake -B build-tsan -S . -DPIMFLOW_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" \
-  --target support_test search_test obs_test serve_test
+  --target support_test search_test obs_test serve_test codegen_test
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|Profiler|SearchEngine|SearchDeterminism|AlgorithmDp|LayerExtract|FlightRecorder|MetricsRegistry|LogLinearHistogram|SlidingWindow|PlanArtifact|PlanCache|PlanCorruption|SessionReentrancy|ChannelAllocator|ChannelPressure'
+  -R 'ThreadPool|Profiler|SearchEngine|SearchDeterminism|AlgorithmDp|LayerExtract|FlightRecorder|MetricsRegistry|LogLinearHistogram|SlidingWindow|PlanArtifact|PlanCache|PlanCorruption|SessionReentrancy|ChannelAllocator|ChannelPressure|KernelPlanMemo|Server'
 
 echo "== tier 4: chaos fault-injection suite (fixed seeds), then under TSan =="
 ctest --test-dir build --output-on-failure -j "$JOBS" -R 'Chaos'
@@ -316,15 +319,15 @@ echo "== tier 10: ASan + UBSan on the serve/runtime resilience and observer suit
 cmake -B build-asan -S . -DPIMFLOW_SANITIZE=address
 cmake --build build-asan -j "$JOBS" \
   --target serve_test serve_chaos_test engine_test pim_test obs_test \
-  core_test
+  core_test codegen_test
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|ExecutionEngine|EngineTimelineGolden|PimSimulator|Attribution|Report|TraceTest'
+  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|ExecutionEngine|EngineTimelineGolden|PimSimulator|Attribution|Report|TraceTest|KernelPlanMemo'
 cmake -B build-ubsan -S . -DPIMFLOW_SANITIZE=undefined
 cmake --build build-ubsan -j "$JOBS" \
   --target serve_test serve_chaos_test engine_test pim_test obs_test \
-  core_test
+  core_test codegen_test
 ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" \
-  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|ExecutionEngine|EngineTimelineGolden|PimSimulator|Attribution|Report|TraceTest'
+  -R 'Server|ServeChaos|Channel|LoadGen|Fault|Session|Scoreboard|ExecutionEngine|EngineTimelineGolden|PimSimulator|Attribution|Report|TraceTest|KernelPlanMemo'
 
 echo "== tier 11: request tracing — deterministic tail-sampled serve traces =="
 TRACE_DIR=build/trace-smoke

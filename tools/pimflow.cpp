@@ -562,10 +562,13 @@ int runSolve(const CliOptions &O) {
   std::printf("%s", T.render().c_str());
 
   const std::string GraphPath = O.Dir + "/" + O.Net + ".pimflow.graph";
-  if (saveGraph(R.Transformed, GraphPath))
-    std::printf("\ntransformed graph written to %s (reload with "
-                "pf::loadGraph)\n",
-                GraphPath.c_str());
+  if (!saveGraph(R.Transformed, GraphPath)) {
+    std::fprintf(stderr, "error: cannot write %s\n", GraphPath.c_str());
+    return 1;
+  }
+  std::printf("\ntransformed graph written to %s (reload with "
+              "pf::loadGraph)\n",
+              GraphPath.c_str());
   return exportObservability(O, R);
 }
 
@@ -737,22 +740,26 @@ int runTrace(const CliOptions &O) {
   PimFlow Flow(O.Policy, O.Flow);
   CompileResult R = Flow.compileAndRun(Model);
 
-  PimCommandGenerator Gen(R.Config.Pim, R.Config.Codegen);
+  // Each trace is rebuilt from the mapping the engine ran; no kernel is
+  // planned again.
+  const PimCommandGenerator Gen(R.Config.Pim, R.Config.Codegen);
   int Dumped = 0;
   for (const NodeSchedule &S : R.Schedule.Nodes) {
-    if (S.Dev != Device::Pim)
+    const PimKernelRecord *K = R.Schedule.pimKernel(S.Id);
+    if (!K)
       continue;
     const Node &N = R.Transformed.node(S.Id);
-    const PimKernelPlan Plan = Gen.plan(lowerToPimSpec(R.Transformed, S.Id));
     const std::string Path =
         formatStr("%s/%s.%s.trace", O.Dir.c_str(), O.Net.c_str(),
                   N.Name.c_str());
-    if (!saveTrace(Plan.Trace, Path)) {
+    if (!saveTrace(Gen.traceFor(lowerToPimSpec(R.Transformed, S.Id),
+                                K->Mapping),
+                   Path)) {
       std::fprintf(stderr, "error: cannot write %s\n", Path.c_str());
       return 1;
     }
     std::printf("%-28s %-14s %8.2f us -> %s\n", N.Name.c_str(),
-                Plan.describeMapping().c_str(), Plan.Ns / 1e3,
+                K->Mapping.describeMapping().c_str(), S.durationNs() / 1e3,
                 Path.c_str());
     ++Dumped;
   }
